@@ -12,14 +12,17 @@ checks rely on:
   K=1 full-batch round collapses to a plain GD step bit-for-bit;
 * coupled comparisons reuse minibatch schedules built from identical streams.
 
-Displacement-using rounds (gradalign, fedga, fedga_perstep, scaffold) cost 2
-communication rounds; everything else costs 1.
+All seven round procedures are FedAvg run by one engine, ``_local_round``,
+that differs per variant only in whether it first gathers ``grad_i(x)`` (a
+second communication) and where it adds the displacement ``-beta*v_i``. The
+:data:`VARIANTS` table gives every variant's round, updates per round and
+schedule, beta and mu use; the harness and ``AlgoConfig.validate`` read it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,23 +49,6 @@ __all__ = [
     "run_round",
 ]
 
-VARIANTS = (
-    "sgd_seq",
-    "gd_seq",
-    "surrogate_gd",
-    "linear_scaled",
-    "gradalign",
-    "fedavg",
-    "fedga",
-    "fedga_perstep",
-    "scaffold",
-    "fedprox",
-    "largebatch_gd",
-)
-
-_LOCAL_STEP_VARIANTS = frozenset({"fedavg", "fedga", "fedga_perstep", "scaffold", "fedprox"})
-_TWO_COMM_VARIANTS = frozenset({"gradalign", "fedga", "fedga_perstep", "scaffold"})
-
 DIVERGENCE_NORM = 1e8
 
 
@@ -80,7 +66,7 @@ class AlgoConfig:
     def validate(self) -> list[str]:
         """Raise on hard errors; return warnings for ignored fields."""
         if self.variant not in VARIANTS:
-            raise UsageError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+            raise UsageError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if not self.alpha > 0:
             raise UsageError("alpha must be > 0")
         if self.beta < 0:
@@ -92,10 +78,10 @@ class AlgoConfig:
         if self.mu < 0:
             raise UsageError("mu must be >= 0")
         warnings = []
-        uses_beta = self.variant in ("gradalign", "fedga", "fedga_perstep")
-        if self.beta != 0.0 and not uses_beta:
+        entry = VARIANTS[self.variant]
+        if self.beta != 0.0 and entry.displace is None:
             warnings.append(f"beta is ignored by variant {self.variant!r}")
-        if self.mu != 0.0 and self.variant != "fedprox":
+        if self.mu != 0.0 and not entry.uses_mu:
             warnings.append(f"mu is ignored by variant {self.variant!r}")
         return warnings
 
@@ -122,20 +108,6 @@ def _guard(x: np.ndarray, algorithm: str, round_index, step):
             step=step,
         )
     return x
-
-
-def _map_clients(fn, items, threads: int = 1):
-    """Run fn over items, preserving order; results land in fixed slots."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _resolve(problem: FederatedProblem, participants):
-    if participants is None:
-        return list(range(problem.n))
-    return sorted(int(i) for i in participants)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +178,18 @@ def linear_scaled_step(objectives, x0, alpha, round_index=None):
     return _guard(x, "linear_scaled", round_index, 0)
 
 
+def _sgd_seq_round(cfg, clients, x, schedules, stream, round_index):
+    """K passes over the participants, each in a fresh order drawn from
+    ``stream``, one stochastic step per client visit."""
+    for k in range(cfg.local_steps):
+        order = stream.derive("order", k).generator().permutation(len(clients))
+        for t, j in enumerate(order):
+            batch = schedules[j].next_batch() if schedules[j] is not None else None
+            x = axpy(-cfg.alpha, clients[j].stoch_grad(x, batch), x)
+            _guard(x, "sgd_seq", round_index, k * len(clients) + t)
+    return x
+
+
 def _as_problem(objectives_or_problem) -> FederatedProblem:
     if isinstance(objectives_or_problem, FederatedProblem):
         return objectives_or_problem
@@ -213,203 +197,163 @@ def _as_problem(objectives_or_problem) -> FederatedProblem:
 
 
 # ---------------------------------------------------------------------------
-# round procedures
+# round procedures: one engine, one variant table, thin public wrappers
 # ---------------------------------------------------------------------------
 
 
-def largebatch_gd_round(problem, x, alpha, participants=None, threads=1, round_index=None):
-    """One parallel GD step: clients step from x with their own gradients,
-    the server averages (equal to a GD step on the participant mean)."""
-    part = _resolve(problem, participants)
-    grads = _map_clients(lambda i: problem.clients[i].grad(x), part, threads)
-    finals = [axpy(-alpha, g, x) for g in grads]
-    for s, f in enumerate(finals):
-        _guard(f, "largebatch_gd", round_index, s)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=1,
-        displacement_norms=np.zeros(len(part)),
-    )
+@dataclass(frozen=True)
+class _Variant:
+    """One row of :data:`VARIANTS`.
+
+    A server-side variant has a ``sequence`` procedure
+    ``(cfg, clients, x, schedules, stream, round_index) -> x``. Every other
+    variant is a local-step round run by ``_local_round`` and departs from
+    FedAvg in two ways only. ``anchor``: gather ``grad_i(x)`` and their mean
+    before the local steps, a second communication. ``displace``: where
+    ``-beta*v_i`` goes: ``None`` nowhere, ``"start"`` onto the starting
+    iterate, ``"step"`` onto every step's evaluation point. An anchored round
+    that does not displace adds SCAFFOLD's control variate instead. A
+    local-step variant without schedules takes one full-batch step.
+    ``updates(m, K)`` counts parameter updates per round for m participants.
+    """
+
+    updates: Callable[[int, int], int]
+    schedules: bool = False
+    anchor: bool = False
+    displace: str | None = None
+    uses_mu: bool = False
+    sequence: Callable | None = None
 
 
-def gradalign_round(problem, x, alpha, beta, participants=None, threads=1, round_index=None):
-    """Displaced-gradient round: the iterate stays at x, each client's
-    gradient is evaluated at x - beta*v_i with v_i = mean_grad(x) - grad_i(x)."""
-    part = _resolve(problem, participants)
-    grads0 = _map_clients(lambda i: problem.clients[i].grad(x), part, threads)
-    gbar = mean_reduce(grads0)
-    vs = [gbar - g for g in grads0]
+def _local_round(spec: _Variant, name, problem, x, alpha, beta, K, scheds, part, mu,
+                 round_index) -> RoundResult:
+    """K local steps per participant from x under ``spec``, then average.
+    Nonzero ``mu`` adds FedProx's proximal term ``mu*(y - x)`` to each step."""
+    norms = np.zeros(len(part))
+    if spec.anchor:
+        grads0 = [problem.clients[i].grad(x) for i in part]
+        gbar = mean_reduce(grads0)
+        vs = [gbar - g for g in grads0]
+        scale = abs(beta) if spec.displace else alpha
+        norms = np.array([scale * float(np.linalg.norm(v)) for v in vs])
+    shift = spec.displace if beta != 0.0 else None
 
-    def one(j):
-        i = part[j]
-        point = axpy(-beta, vs[j], x) if beta != 0.0 else x
-        return axpy(-alpha, problem.clients[i].grad(point), x)
-
-    finals = _map_clients(one, list(range(len(part))), threads)
-    for s, f in enumerate(finals):
-        _guard(f, "gradalign", round_index, s)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=2,
-        displacement_norms=np.array([abs(beta) * float(np.linalg.norm(v)) for v in vs]),
-    )
-
-
-def fedavg_round(problem, x, alpha, K, schedules=None, participants=None,
-                 threads=1, round_index=None):
-    """K local stochastic steps per client from x, then average."""
-    part = _resolve(problem, participants)
-    scheds = schedules if schedules is not None else [None] * len(part)
-
-    def one(j):
-        client = problem.clients[part[j]]
-        sched = scheds[j]
-        y = x
+    finals = []
+    for j, i in enumerate(part):
+        y = axpy(-beta, vs[j], x) if shift == "start" else x
         for k in range(K):
-            batch = sched.next_batch() if sched is not None else None
-            y = axpy(-alpha, client.stoch_grad(y, batch), y)
-            _guard(y, "fedavg", round_index, k)
-        return y
-
-    finals = _map_clients(one, list(range(len(part))), threads)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=1,
-        displacement_norms=np.zeros(len(part)),
-    )
-
-
-def fedga_round(problem, x, alpha, beta, K, schedules=None, participants=None,
-                threads=1, round_index=None):
-    """Displacement applied once at the start of the round, then K plain
-    local steps; the server averages the finals without reverting the
-    displacements (they sum to zero across participants)."""
-    part = _resolve(problem, participants)
-    scheds = schedules if schedules is not None else [None] * len(part)
-    grads0 = _map_clients(lambda i: problem.clients[i].grad(x), part, threads)
-    gbar = mean_reduce(grads0)
-    vs = [gbar - g for g in grads0]
-
-    def one(j):
-        client = problem.clients[part[j]]
-        sched = scheds[j]
-        y = axpy(-beta, vs[j], x) if beta != 0.0 else x
-        for k in range(K):
-            batch = sched.next_batch() if sched is not None else None
-            y = axpy(-alpha, client.stoch_grad(y, batch), y)
-            _guard(y, "fedga", round_index, k)
-        return y
-
-    finals = _map_clients(one, list(range(len(part))), threads)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=2,
-        displacement_norms=np.array([abs(beta) * float(np.linalg.norm(v)) for v in vs]),
-    )
-
-
-def fedga_perstep_round(problem, x, alpha, beta, K, schedules=None, participants=None,
-                        threads=1, round_index=None):
-    """Per-step displacement variant: iterates stay undisplaced, every local
-    gradient is evaluated at y - beta*v_i."""
-    part = _resolve(problem, participants)
-    scheds = schedules if schedules is not None else [None] * len(part)
-    grads0 = _map_clients(lambda i: problem.clients[i].grad(x), part, threads)
-    gbar = mean_reduce(grads0)
-    vs = [gbar - g for g in grads0]
-
-    def one(j):
-        client = problem.clients[part[j]]
-        sched = scheds[j]
-        y = x
-        for k in range(K):
-            batch = sched.next_batch() if sched is not None else None
-            point = axpy(-beta, vs[j], y) if beta != 0.0 else y
-            y = axpy(-alpha, client.stoch_grad(point, batch), y)
-            _guard(y, "fedga_perstep", round_index, k)
-        return y
-
-    finals = _map_clients(one, list(range(len(part))), threads)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=2,
-        displacement_norms=np.array([abs(beta) * float(np.linalg.norm(v)) for v in vs]),
-    )
-
-
-def scaffold_round(problem, x, alpha, K, schedules=None, participants=None,
-                   threads=1, round_index=None):
-    """Control-variate round: local steps use
-    (stoch_grad(y) - grad_i(x)) + mean_grad(x), variates computed among the
-    participating clients only."""
-    part = _resolve(problem, participants)
-    scheds = schedules if schedules is not None else [None] * len(part)
-    grads0 = _map_clients(lambda i: problem.clients[i].grad(x), part, threads)
-    gbar = mean_reduce(grads0)
-
-    def one(j):
-        client = problem.clients[part[j]]
-        sched = scheds[j]
-        g0 = grads0[j]
-        y = x
-        for k in range(K):
-            batch = sched.next_batch() if sched is not None else None
-            d = (client.stoch_grad(y, batch) - g0) + gbar
-            y = axpy(-alpha, d, y)
-            _guard(y, "scaffold", round_index, k)
-        return y
-
-    finals = _map_clients(one, list(range(len(part))), threads)
-    return RoundResult(
-        server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
-        participants=tuple(part),
-        comm_rounds_used=2,
-        displacement_norms=np.array(
-            [alpha * float(np.linalg.norm(gbar - g)) for g in grads0]
-        ),
-    )
-
-
-def fedprox_round(problem, x, alpha, K, mu, schedules=None, participants=None,
-                  threads=1, round_index=None):
-    """Inexact proximal local steps y <- y - alpha*(stoch_grad(y) + mu*(y - x))."""
-    if mu < 0:
-        raise UsageError("mu must be >= 0")
-    part = _resolve(problem, participants)
-    scheds = schedules if schedules is not None else [None] * len(part)
-
-    def one(j):
-        client = problem.clients[part[j]]
-        sched = scheds[j]
-        y = x
-        for k in range(K):
-            batch = sched.next_batch() if sched is not None else None
-            g = client.stoch_grad(y, batch)
+            batch = scheds[j].next_batch() if scheds[j] is not None else None
+            point = axpy(-beta, vs[j], y) if shift == "step" else y
+            g = problem.clients[i].stoch_grad(point, batch)
+            if spec.anchor and not spec.displace:
+                g = (g - grads0[j]) + gbar
             if mu != 0.0:
                 g = g + mu * (y - x)
             y = axpy(-alpha, g, y)
-            _guard(y, "fedprox", round_index, k)
-        return y
-
-    finals = _map_clients(one, list(range(len(part))), threads)
+            _guard(y, name, round_index, k)
+        finals.append(y)
     return RoundResult(
         server_params=mean_reduce(finals),
         per_client_final=tuple(finals),
         participants=tuple(part),
+        comm_rounds_used=2 if spec.anchor else 1,
+        displacement_norms=norms,
+    )
+
+
+VARIANTS = {
+    "sgd_seq": _Variant(lambda m, k: m * k, schedules=True, sequence=_sgd_seq_round),
+    "gd_seq": _Variant(lambda m, k: k, sequence=lambda cfg, clients, x, s, stream, r:
+                       run_gd_sequence(clients, x, cfg.alpha, cfg.local_steps, round_index=r)),
+    "surrogate_gd": _Variant(lambda m, k: k, sequence=lambda cfg, clients, x, s, stream, r:
+                             run_surrogate_gd_sequence(clients, x, cfg.alpha, cfg.local_steps,
+                                                       round_index=r)),
+    "linear_scaled": _Variant(lambda m, k: 1, sequence=lambda cfg, clients, x, s, stream, r:
+                              linear_scaled_step(clients, x, cfg.alpha, round_index=r)),
+    "gradalign": _Variant(lambda m, k: m, anchor=True, displace="step"),
+    "fedavg": _Variant(lambda m, k: m * k, schedules=True),
+    "fedga": _Variant(lambda m, k: m * k, schedules=True, anchor=True, displace="start"),
+    "fedga_perstep": _Variant(lambda m, k: m * k, schedules=True, anchor=True, displace="step"),
+    "scaffold": _Variant(lambda m, k: m * k, schedules=True, anchor=True),
+    "fedprox": _Variant(lambda m, k: m * k, schedules=True, uses_mu=True),
+    # one server-side modification per round
+    "largebatch_gd": _Variant(lambda m, k: 1),
+}
+
+
+def run_round(cfg: AlgoConfig, problem, x, schedules=None, participants=None,
+              round_index=None, stream=None) -> RoundResult:
+    """One round of cfg.variant; the harness and every ``*_round`` call it.
+    ``stream`` is the round stream that ``sgd_seq`` draws its visiting orders from."""
+    entry = VARIANTS[cfg.variant]
+    part = list(range(problem.n)) if participants is None else sorted(int(i) for i in participants)
+    scheds = schedules if schedules is not None else [None] * len(part)
+    if entry.sequence is None:
+        return _local_round(entry, cfg.variant, problem, x, cfg.alpha, cfg.beta,
+                            cfg.local_steps if entry.schedules else 1, scheds, part,
+                            cfg.mu if entry.uses_mu else 0.0, round_index)
+    x = entry.sequence(cfg, [problem.clients[i] for i in part], x, scheds, stream, round_index)
+    return RoundResult(
+        server_params=x,
+        per_client_final=(),
+        participants=tuple(part),
         comm_rounds_used=1,
         displacement_norms=np.zeros(len(part)),
     )
+
+
+def largebatch_gd_round(problem, x, alpha, participants=None, round_index=None):
+    """One parallel GD step: clients step from x with their own gradients,
+    the server averages (equal to a GD step on the participant mean)."""
+    return run_round(AlgoConfig("largebatch_gd", alpha), problem, x, None, participants,
+                     round_index)
+
+
+def gradalign_round(problem, x, alpha, beta, participants=None, round_index=None):
+    """Displaced-gradient round: the iterate stays at x, each client's
+    gradient is evaluated at x - beta*v_i with v_i = mean_grad(x) - grad_i(x)."""
+    return run_round(AlgoConfig("gradalign", alpha, beta), problem, x, None, participants,
+                     round_index)
+
+
+def fedavg_round(problem, x, alpha, K, schedules=None, participants=None, round_index=None):
+    """K local stochastic steps per client from x, then average."""
+    return run_round(AlgoConfig("fedavg", alpha, local_steps=K), problem, x, schedules,
+                     participants, round_index)
+
+
+def fedga_round(problem, x, alpha, beta, K, schedules=None, participants=None,
+                round_index=None):
+    """Displacement applied once at the start of the round, then K plain
+    local steps; the server averages the finals without reverting the
+    displacements (they sum to zero across participants)."""
+    return run_round(AlgoConfig("fedga", alpha, beta, K), problem, x, schedules,
+                     participants, round_index)
+
+
+def fedga_perstep_round(problem, x, alpha, beta, K, schedules=None, participants=None,
+                        round_index=None):
+    """Per-step displacement variant: iterates stay undisplaced, every local
+    gradient is evaluated at y - beta*v_i."""
+    return run_round(AlgoConfig("fedga_perstep", alpha, beta, K), problem, x, schedules,
+                     participants, round_index)
+
+
+def scaffold_round(problem, x, alpha, K, schedules=None, participants=None, round_index=None):
+    """Control-variate round: local steps use
+    (stoch_grad(y) - grad_i(x)) + mean_grad(x), variates computed among the
+    participating clients only."""
+    return run_round(AlgoConfig("scaffold", alpha, local_steps=K), problem, x, schedules,
+                     participants, round_index)
+
+
+def fedprox_round(problem, x, alpha, K, mu, schedules=None, participants=None,
+                  round_index=None):
+    """Inexact proximal local steps y <- y - alpha*(stoch_grad(y) + mu*(y - x))."""
+    if mu < 0:
+        raise UsageError("mu must be >= 0")
+    return run_round(AlgoConfig("fedprox", alpha, local_steps=K, mu=mu), problem, x,
+                     schedules, participants, round_index)
 
 
 def expected_round(round_fn, repeats: int, stream: SeededStream) -> np.ndarray:
@@ -419,26 +363,3 @@ def expected_round(round_fn, repeats: int, stream: SeededStream) -> np.ndarray:
         raise UsageError("repeats must be >= 1")
     servers = [round_fn(stream.derive("repeat", r)).server_params for r in range(repeats)]
     return mean_reduce(servers)
-
-
-def run_round(cfg: AlgoConfig, problem, x, schedules=None, participants=None,
-              threads=1, round_index=None) -> RoundResult:
-    """Dispatch one round of cfg.variant; used by the harness."""
-    common = dict(participants=participants, threads=threads, round_index=round_index)
-    v = cfg.variant
-    if v == "fedavg":
-        return fedavg_round(problem, x, cfg.alpha, cfg.local_steps, schedules, **common)
-    if v == "fedga":
-        return fedga_round(problem, x, cfg.alpha, cfg.beta, cfg.local_steps, schedules, **common)
-    if v == "fedga_perstep":
-        return fedga_perstep_round(problem, x, cfg.alpha, cfg.beta, cfg.local_steps,
-                                   schedules, **common)
-    if v == "scaffold":
-        return scaffold_round(problem, x, cfg.alpha, cfg.local_steps, schedules, **common)
-    if v == "fedprox":
-        return fedprox_round(problem, x, cfg.alpha, cfg.local_steps, cfg.mu, schedules, **common)
-    if v == "gradalign":
-        return gradalign_round(problem, x, cfg.alpha, cfg.beta, **common)
-    if v == "largebatch_gd":
-        return largebatch_gd_round(problem, x, cfg.alpha, **common)
-    raise UsageError(f"variant {cfg.variant!r} is not a round procedure")

@@ -2,8 +2,8 @@
 
 Subcommands: ``run <config>``, ``sweep <config>``, ``verify [config]``,
 ``gen-data <config>``. Flags ``--seed/--out/--threads/--quiet`` are accepted
-by every subcommand. Exit codes: 0 success, 2 config error, 3 divergence,
-4 verification failure.
+by every subcommand; ``--threads`` is kept for old command lines and ignored.
+Exit codes: 0 success, 2 config error, 3 divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _common_flags(parser):
                         help="override run.master_seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-client work")
+                        help="accepted, ignored (runs are single-threaded)")
     parser.add_argument("--quiet", action="store_true")
 
 
@@ -65,22 +65,20 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = parse_config(args.config, purpose="run")
             _print_warnings(cfg, args.quiet)
-            path = run_experiment(cfg, args.out, threads=args.threads,
-                                  seed=args.seed, quiet=True)
+            path = run_experiment(cfg, args.out, seed=args.seed, quiet=True)
             if not args.quiet:
                 print(path)
             return EXIT_OK
         if args.command == "sweep":
             cfg = parse_config(args.config, purpose="sweep")
             _print_warnings(cfg, args.quiet)
-            run_sweep(cfg, args.out, threads=args.threads, seed=args.seed,
-                      quiet=args.quiet)
+            run_sweep(cfg, args.out, seed=args.seed, quiet=args.quiet)
             return EXIT_OK
         if args.command == "verify":
             cfg = None
             if args.config is not None:
                 cfg = parse_config(args.config, purpose="verify")
-            _, all_passed = verify_suite(cfg, args.out, quiet=args.quiet)
+            _, all_passed = verify_suite(cfg, args.out, seed=args.seed, quiet=args.quiet)
             return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
         if args.command == "gen-data":
             cfg = parse_config(args.config, purpose="gen-data")

@@ -5,7 +5,7 @@ Configs are flat ``key = value`` text files with section prefixes
 (``problem.``, ``algo.``, ``run.``, ``sweep.``, ``verify.``); unknown keys are
 rejected. Metrics are JSON lines, one record per eval point, with exactly the
 fields of :class:`MetricsRecord`. Identical config + seed always produces
-byte-identical metrics, independent of ``--threads``.
+byte-identical metrics. Variant facts come from ``algorithms.VARIANTS``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import AlgoConfig, run_round
-from .algorithms import linear_scaled_step, run_gd_sequence, run_surrogate_gd_sequence
+from .algorithms import VARIANTS, AlgoConfig, run_round
 from .datagen import MinibatchSchedule, gen_blobs, load_csv, partition, train_test_split
 from .errors import ConfigError, DivergenceError, UsageError
 from .objectives import FederatedProblem, make_supervised_client
-from .params import SeededStream, axpy
+from .params import SeededStream
 from .regularizer import regularizer_report
 from . import verify as verify_mod
 
@@ -390,44 +389,8 @@ def evaluate(inst: ProblemInstance, x: np.ndarray, participants) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _comm_per_round(variant: str) -> int:
-    return 2 if variant in ("gradalign", "fedga", "fedga_perstep", "scaffold") else 1
-
-
-def _updates_per_round(variant: str, m: int, k: int) -> int:
-    if variant in ("fedavg", "fedga", "fedga_perstep", "scaffold", "fedprox"):
-        return m * k
-    if variant == "gradalign":
-        return m
-    if variant == "sgd_seq":
-        return m * k
-    if variant in ("gd_seq", "surrogate_gd"):
-        return k
-    return 1  # largebatch_gd, linear_scaled: one server-side modification
-
-
-def _sequence_round(cfg: AlgoConfig, problem, x, participants, schedules, rstream, r):
-    sub = [problem.clients[i] for i in participants]
-    if cfg.variant == "gd_seq":
-        return run_gd_sequence(sub, x, cfg.alpha, cfg.local_steps, round_index=r)
-    if cfg.variant == "surrogate_gd":
-        return run_surrogate_gd_sequence(sub, x, cfg.alpha, cfg.local_steps, round_index=r)
-    if cfg.variant == "linear_scaled":
-        return linear_scaled_step(sub, x, cfg.alpha, round_index=r)
-    if cfg.variant == "sgd_seq":
-        for k in range(cfg.local_steps):
-            order = rstream.derive("order", k).generator().permutation(len(sub))
-            for j in order:
-                batch = schedules[j].next_batch() if schedules[j] is not None else None
-                g = sub[j].stoch_grad(x, batch)
-                x = axpy(-cfg.alpha, g, x)
-        return x
-    raise UsageError(f"variant {cfg.variant!r} is not runnable")
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
-                   seed: int | None = None, run_name: str | None = None,
-                   quiet: bool = True) -> Path:
+def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
+                   run_name: str | None = None, quiet: bool = True) -> Path:
     """Execute cfg.run.rounds rounds; return the metrics file path.
 
     Each round samples ``clients_per_round`` clients without replacement from
@@ -452,8 +415,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
         raise ConfigError(f"clients_per_round must be in [1, {n}], got {m}")
     x = initial_params(inst, cfg.problem, root.derive("init", 0))
 
-    uses_schedules = cfg.algo.variant in ("fedavg", "fedga", "fedga_perstep",
-                                          "scaffold", "fedprox", "sgd_seq")
+    variant = VARIANTS[cfg.algo.variant]
     comm = 0
     updates = 0
     with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -463,21 +425,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1,
                 sampler = rstream.derive("sample", 0).generator()
                 participants = sorted(int(i) for i in sampler.choice(n, size=m, replace=False))
                 schedules = None
-                if uses_schedules:
+                if variant.schedules:
                     schedules = [
                         MinibatchSchedule(problem.clients[i].data_size, cfg.algo.batch_size,
                                           rstream.derive("client", i))
                         for i in participants
                     ]
-                if cfg.algo.variant in ("gd_seq", "surrogate_gd", "linear_scaled", "sgd_seq"):
-                    x = _sequence_round(cfg.algo, problem, x, participants, schedules,
-                                        rstream, r)
-                else:
-                    result = run_round(cfg.algo, problem, x, schedules, participants,
-                                       threads=threads, round_index=r)
-                    x = result.server_params
-                comm += _comm_per_round(cfg.algo.variant)
-                updates += _updates_per_round(cfg.algo.variant, m, cfg.algo.local_steps)
+                result = run_round(cfg.algo, problem, x, schedules, participants,
+                                   round_index=r, stream=rstream)
+                x = result.server_params
+                comm += result.comm_rounds_used
+                updates += variant.updates(m, cfg.algo.local_steps)
                 if r % cfg.run.eval_every == 0 or r == cfg.run.rounds:
                     stats = evaluate(inst, x, participants)
                     record = MetricsRecord(round=r, comm_rounds_cum=comm,
@@ -512,8 +470,8 @@ def read_metrics(path) -> list[dict]:
     return records
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1,
-              seed: int | None = None, quiet: bool = True) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, out_dir, seed: int | None = None,
+              quiet: bool = True) -> SweepResult:
     """One run per sweep value under identical master seeds (coupled)."""
     if cfg.sweep is None:
         raise ConfigError("config has no sweep.* values")
@@ -525,8 +483,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1,
         sub = dataclasses.replace(cfg, algo=algo)
         name = f"{base}-{cfg.sweep.param}{value:g}-seed{master_seed}"
         try:
-            path = run_experiment(sub, out_dir, threads=threads, seed=master_seed,
-                                  run_name=name, quiet=True)
+            path = run_experiment(sub, out_dir, seed=master_seed, run_name=name, quiet=True)
             rows = [rec for rec in read_metrics(path) if "round" in rec]
             finals.append(rows[-1]["test_acc"] if rows else None)
             bests.append(max((rec["test_acc"] for rec in rows), default=None))
@@ -550,16 +507,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir, threads: int = 1,
     return result
 
 
-def verify_suite(cfg: ExperimentConfig | None, out_dir, quiet: bool = True):
-    """Run every theorem check; write verdicts JSONL; return (path, all_passed)."""
+def verify_suite(cfg: ExperimentConfig | None, out_dir, quiet: bool = True,
+                 seed: int | None = None):
+    """Run every theorem check; write verdicts JSONL; return (path, all_passed).
+    ``seed`` overrides ``run.master_seed`` (default 0)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    master_seed = 0
-    sabotage = None
-    if cfg is not None:
-        sabotage = cfg.sabotage
-        if cfg.run is not None:
-            master_seed = cfg.run.master_seed
+    master_seed = seed
+    if master_seed is None:
+        master_seed = cfg.run.master_seed if cfg is not None and cfg.run is not None else 0
+    sabotage = cfg.sabotage if cfg is not None else None
     verdicts = verify_mod.run_all_checks(master_seed=master_seed, sabotage=sabotage)
     if cfg is not None and cfg.problem is not None:
         inst = build_problem(cfg.problem, SeededStream(master_seed).derive("data", 0))

@@ -69,6 +69,17 @@ def test_seed_override_changes_output(tmp_path):
     assert a != d
 
 
+def test_verify_seed_flag_overrides_config_seed(tmp_path):
+    assert main(["verify", "--out", str(tmp_path / "flag"), "--quiet", "--seed", "3"]) == 0
+    seeded = write(tmp_path, "run.rounds = 1\nrun.master_seed = 3\n", "seed3.cfg")
+    assert main(["verify", str(seeded), "--out", str(tmp_path / "cfg"), "--quiet"]) == 0
+    assert main(["verify", "--out", str(tmp_path / "default"), "--quiet"]) == 0
+    flag, cfg, default = ((tmp_path / d / "verdicts.jsonl").read_bytes()
+                          for d in ("flag", "cfg", "default"))
+    assert flag == cfg
+    assert flag != default
+
+
 def test_threads_flag_keeps_bytes(tmp_path):
     cfg = write(tmp_path, RUN_CFG)
     main(["run", str(cfg), "--out", str(tmp_path / "t1"), "--quiet", "--threads", "1"])

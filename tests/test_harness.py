@@ -199,9 +199,9 @@ def test_byte_identical_reruns_and_thread_independence(base_cfg, tmp_path):
     cfg = parse_config(base_cfg)
     p1 = run_experiment(cfg, tmp_path / "a", run_name="r")
     p2 = run_experiment(cfg, tmp_path / "b", run_name="r")
-    p4 = run_experiment(cfg, tmp_path / "c", run_name="r", threads=4)
-    b1, b2, b4 = (p.read_bytes() for p in (p1, p2, p4))
-    assert b1 == b2 == b4
+    p3 = run_experiment(cfg, tmp_path / "c", run_name="r")
+    b1, b2, b3 = (p.read_bytes() for p in (p1, p2, p3))
+    assert b1 == b2 == b3
     assert b1  # nonempty
 
 
@@ -226,18 +226,19 @@ def test_grad_var_matches_regularizer(tmp_path):
 
 
 def test_divergence_preserves_partial_metrics(tmp_path):
-    p = write_cfg(tmp_path, BASE_CFG
-                  .replace("algo.variant = fedavg", "algo.variant = largebatch_gd")
-                  .replace("algo.alpha = 0.1", "algo.alpha = 1e9")
-                  .replace("run.eval_every = 5", "run.eval_every = 1"))
-    cfg = parse_config(p)
-    with pytest.raises(DivergenceError) as exc:
-        run_experiment(cfg, tmp_path / "out")
-    assert exc.value.round_index is not None
-    lines = (tmp_path / "out" / f"{p.stem}-seed9.metrics.jsonl").read_text().splitlines()
-    marker = json.loads(lines[-1])
-    assert marker["truncated"] is True
-    assert "error" in marker
+    for variant in ("largebatch_gd", "sgd_seq"):
+        p = write_cfg(tmp_path, BASE_CFG
+                      .replace("algo.variant = fedavg", f"algo.variant = {variant}")
+                      .replace("algo.alpha = 0.1", "algo.alpha = 1e9")
+                      .replace("run.eval_every = 5", "run.eval_every = 1"), f"{variant}.cfg")
+        cfg = parse_config(p)
+        with pytest.raises(DivergenceError) as exc:
+            run_experiment(cfg, tmp_path / "out")
+        assert exc.value.round_index is not None
+        lines = (tmp_path / "out" / f"{p.stem}-seed9.metrics.jsonl").read_text().splitlines()
+        marker = json.loads(lines[-1])
+        assert marker["truncated"] is True
+        assert "error" in marker
 
 
 def test_partial_participation_sampling(tmp_path):
@@ -287,7 +288,16 @@ run.eval_every = 3
     assert recs[-1]["test_acc"] > 0.5
 
 
-@pytest.mark.parametrize("variant", ["gd_seq", "surrogate_gd", "sgd_seq", "linear_scaled"])
+# (comm_rounds_cum, updates_cum) after 4 rounds with m = 3 participants, K = 4
+BOOKKEEPING = {
+    "gd_seq": (4, 4 * 4), "surrogate_gd": (4, 4 * 4), "sgd_seq": (4, 4 * 3 * 4),
+    "linear_scaled": (4, 4), "largebatch_gd": (4, 4), "gradalign": (8, 4 * 3),
+    "fedavg": (4, 4 * 3 * 4), "fedprox": (4, 4 * 3 * 4), "fedga": (8, 4 * 3 * 4),
+    "fedga_perstep": (8, 4 * 3 * 4), "scaffold": (8, 4 * 3 * 4),
+}
+
+
+@pytest.mark.parametrize("variant", list(BOOKKEEPING))
 def test_sequence_variants_run(tmp_path, variant):
     text = (BASE_CFG.replace("algo.variant = fedavg", f"algo.variant = {variant}")
             .replace("run.rounds = 20", "run.rounds = 4")
@@ -295,7 +305,7 @@ def test_sequence_variants_run(tmp_path, variant):
     cfg = parse_config(write_cfg(tmp_path, text, f"{variant}.cfg"))
     recs = read_metrics(run_experiment(cfg, tmp_path / "out"))
     assert np.isfinite(recs[-1]["train_loss"])
-    assert recs[-1]["comm_rounds_cum"] == 4
+    assert (recs[-1]["comm_rounds_cum"], recs[-1]["updates_cum"]) == BOOKKEEPING[variant]
 
 
 # ---------------------------------------------------------------------------
