@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .datagen import gen_blobs, save_csv
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, UsageError
 from .harness import parse_config, run_experiment, run_sweep, verify_suite
 from .params import SeededStream
 
@@ -85,8 +85,11 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else (
                 cfg.run.master_seed if cfg.run is not None else 0)
             spec = cfg.problem
-            ds = gen_blobs(spec.classes, spec.per_class, spec.dim, spec.sep,
-                           SeededStream(seed).derive("data", 0).derive("blobs", 0))
+            try:
+                ds = gen_blobs(spec.classes, spec.per_class, spec.dim, spec.sep,
+                               SeededStream(seed).derive("data", 0).derive("blobs", 0))
+            except UsageError as exc:
+                raise ConfigError(str(exc)) from None
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             path = out / f"{Path(args.config).stem}.csv"

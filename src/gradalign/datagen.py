@@ -10,6 +10,7 @@ one-whole-class-per-client extreme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,10 +183,13 @@ def load_csv(path) -> Dataset:
                     f"({len(fields)} fields, expected {width})"
                 )
             try:
-                raw_labels.append(float(fields[0]))
-                rows.append([float(v) for v in fields[1:]])
+                values = [float(v) for v in fields]
             except ValueError as exc:
                 raise DataFormatError(f"{path}: non-numeric value at line {lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataFormatError(f"{path}: non-finite value at line {lineno}")
+            raw_labels.append(values[0])
+            rows.append(values[1:])
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     if width is not None and width < 2:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package.
 
 CLI exit codes map onto these: ConfigError-family -> 2, DivergenceError -> 3.
+A verification run with a failing verdict exits 4.
 """
 
 

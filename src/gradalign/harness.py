@@ -326,12 +326,17 @@ class ProblemInstance:
 
 
 def build_problem(spec: ProblemSpec, stream: SeededStream) -> ProblemInstance:
-    if spec.kind == "blobs":
-        ds = gen_blobs(spec.classes, spec.per_class, spec.dim, spec.sep,
-                       stream.derive("blobs", 0))
-    else:
-        ds = load_csv(spec.path)
-    train, test = train_test_split(ds, TEST_FRACTION, stream.derive("split", 0))
+    """Build the clients and the test split; a spec the data layer rejects
+    (``sep = 0``, a class too small to split, ...) raises ConfigError."""
+    try:
+        if spec.kind == "blobs":
+            ds = gen_blobs(spec.classes, spec.per_class, spec.dim, spec.sep,
+                           stream.derive("blobs", 0))
+        else:
+            ds = load_csv(spec.path)
+        train, test = train_test_split(ds, TEST_FRACTION, stream.derive("split", 0))
+    except UsageError as exc:
+        raise ConfigError(str(exc)) from None
     part = partition(train, spec.clients, spec.partition, stream.derive("partition", 0),
                      spec.classes_per_client)
     clients = [

@@ -1,38 +1,15 @@
-"""Supervised-model kernels: numba-jitted hot path with a pure-numpy fallback.
+"""Supervised-model kernels: vectorized numpy value/gradient and logits.
 
 The minibatch value/gradient kernels below run K*m times per federated round
-and dominate experiment runtime, so they carry ``@njit`` twins. Selection:
-
-* ``GRADALIGN_BACKEND=numpy``  -> force the vectorized numpy implementations
-* anything else (default)      -> numba when importable, numpy otherwise
-
-Both paths implement identical arithmetic (they agree to ~1e-15; summation
-order differs). ``benchmarks/bench_backends.py`` times them side by side.
-Losses returned here are the data term only; L2 decay is added by the
-objective layer on the full parameter vector.
+and dominate experiment runtime. Losses returned here are the data term only;
+L2 decay is added by the objective layer on the full parameter vector.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("GRADALIGN_BACKEND", "auto").strip().lower()
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _choice != "numpy"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+BACKEND = "numpy"  # the only kernel backend; reported by benchmark runs
 
 
 def _softmax_rows(z):
@@ -42,7 +19,7 @@ def _softmax_rows(z):
     return p
 
 
-def logistic_value_grad_numpy(X, y, W, b):
+def logistic_value_grad(X, y, W, b):
     """Mean cross-entropy and its gradient for softmax regression.
 
     Returns (loss, gW, gb) for logits ``X @ W + b``. A fully-underflowed
@@ -58,13 +35,18 @@ def logistic_value_grad_numpy(X, y, W, b):
     return loss, X.T @ p, p.sum(axis=0)
 
 
-def mlp_value_grad_numpy(X, y, W1, b1, W2, b2):
-    """Mean cross-entropy and gradients for input -> tanh -> softmax."""
+def mlp_value_grad(X, y, W1, b1, W2, b2):
+    """Mean cross-entropy and gradients for input -> tanh -> softmax.
+
+    Returns (loss, gW1, gb1, gW2, gb2). A fully-underflowed true-class
+    probability yields an infinite loss (divergent iterates).
+    """
     n = X.shape[0]
     a = np.tanh(X @ W1 + b1)
     p = _softmax_rows(a @ W2 + b2)
     rows = np.arange(n)
-    loss = float(-np.log(p[rows, y]).mean())
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(p[rows, y]).mean())
     p[rows, y] -= 1.0
     p /= n
     gW2 = a.T @ p
@@ -73,125 +55,9 @@ def mlp_value_grad_numpy(X, y, W1, b1, W2, b2):
     return loss, X.T @ dh, dh.sum(axis=0), gW2, gb2
 
 
-def logistic_logits_numpy(X, W, b):
+def logistic_logits(X, W, b):
     return X @ W + b
 
 
-def mlp_logits_numpy(X, W1, b1, W2, b2):
+def mlp_logits(X, W1, b1, W2, b2):
     return np.tanh(X @ W1 + b1) @ W2 + b2
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops; no BLAS dispatch overhead at the
-# 20x20-ish sizes these kernels see)
-# ---------------------------------------------------------------------------
-
-
-def _logistic_value_grad_loops(X, y, W, b):
-    n, m = X.shape
-    c = W.shape[1]
-    gw = np.zeros((m, c))
-    gb = np.zeros(c)
-    z = np.empty(c)
-    loss = 0.0
-    for r in range(n):
-        zmax = -np.inf
-        for k in range(c):
-            s = b[k]
-            for j in range(m):
-                s += X[r, j] * W[j, k]
-            z[k] = s
-            if s > zmax:
-                zmax = s
-        denom = 0.0
-        for k in range(c):
-            z[k] = np.exp(z[k] - zmax)
-            denom += z[k]
-        loss += np.log(denom) - np.log(z[y[r]])
-        for k in range(c):
-            g = z[k] / denom
-            if k == y[r]:
-                g -= 1.0
-            gb[k] += g
-            for j in range(m):
-                gw[j, k] += X[r, j] * g
-    inv = 1.0 / n
-    return loss * inv, gw * inv, gb * inv
-
-
-def _mlp_value_grad_loops(X, y, W1, b1, W2, b2):
-    n, m = X.shape
-    h = W1.shape[1]
-    c = W2.shape[1]
-    gw1 = np.zeros((m, h))
-    gb1 = np.zeros(h)
-    gw2 = np.zeros((h, c))
-    gb2 = np.zeros(c)
-    a = np.empty(h)
-    z = np.empty(c)
-    loss = 0.0
-    for r in range(n):
-        for j in range(h):
-            s = b1[j]
-            for i in range(m):
-                s += X[r, i] * W1[i, j]
-            a[j] = np.tanh(s)
-        zmax = -np.inf
-        for k in range(c):
-            s = b2[k]
-            for j in range(h):
-                s += a[j] * W2[j, k]
-            z[k] = s
-            if s > zmax:
-                zmax = s
-        denom = 0.0
-        for k in range(c):
-            z[k] = np.exp(z[k] - zmax)
-            denom += z[k]
-        loss += np.log(denom) - np.log(z[y[r]])
-        for k in range(c):
-            g = z[k] / denom
-            if k == y[r]:
-                g -= 1.0
-            gb2[k] += g
-            for j in range(h):
-                gw2[j, k] += a[j] * g
-        for j in range(h):
-            s = 0.0
-            for k in range(c):
-                g = z[k] / denom
-                if k == y[r]:
-                    g -= 1.0
-                s += g * W2[j, k]
-            dh = s * (1.0 - a[j] * a[j])
-            gb1[j] += dh
-            for i in range(m):
-                gw1[i, j] += X[r, i] * dh
-    inv = 1.0 / n
-    return loss * inv, gw1 * inv, gb1 * inv, gw2 * inv, gb2 * inv
-
-
-if HAVE_NUMBA:
-    logistic_value_grad_numba = njit(cache=True)(_logistic_value_grad_loops)
-    mlp_value_grad_numba = njit(cache=True)(_mlp_value_grad_loops)
-else:  # pragma: no cover
-    logistic_value_grad_numba = None
-    mlp_value_grad_numba = None
-
-if USE_NUMBA:
-    logistic_value_grad = logistic_value_grad_numba
-    mlp_value_grad = mlp_value_grad_numba
-else:
-    logistic_value_grad = logistic_value_grad_numpy
-    mlp_value_grad = mlp_value_grad_numpy
-
-logistic_logits = logistic_logits_numpy
-mlp_logits = mlp_logits_numpy
-
-
-def warmup():
-    """Trigger JIT compilation (or cache load) of the active kernels."""
-    X = np.zeros((2, 3))
-    y = np.zeros(2, dtype=np.int64)
-    logistic_value_grad(X, y, np.zeros((3, 2)), np.zeros(2))
-    mlp_value_grad(X, y, np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gradalign import kernels
 from gradalign.objectives import FederatedProblem, QuadraticClient
 from gradalign.params import SeededStream
 from gradalign.verify import (
@@ -12,12 +11,6 @@ from gradalign.verify import (
     fixture_random_quadratic,
     mlp_start,
 )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay JIT compilation (or cache load) once, outside any timed section
-    kernels.warmup()
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import json
+
 from gradalign.cli import main
 from gradalign.datagen import load_csv
 
@@ -42,6 +44,17 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert "aplha" in capsys.readouterr().err
 
 
+def test_data_layer_config_error_exit_2(tmp_path, capsys):
+    # gen-data draws blobs without a test split, so per_class = 1 is valid there
+    cases = (("problem.sep = 3", "problem.sep = 0", ("run", "verify", "gen-data")),
+             ("problem.per_class = 20", "problem.per_class = 1", ("run", "verify")))
+    for good, bad, commands in cases:
+        cfg = write(tmp_path, RUN_CFG.replace(good, bad))
+        for command in commands:
+            assert main([command, str(cfg), "--out", str(tmp_path / command), "--quiet"]) == 2
+            assert "config error:" in capsys.readouterr().err
+
+
 def test_divergence_exit_3(tmp_path, capsys):
     cfg = write(tmp_path, RUN_CFG.replace("algo.alpha = 0.1", "algo.alpha = 1e12")
                 .replace("algo.variant = fedga", "algo.variant = largebatch_gd"))
@@ -55,6 +68,16 @@ def test_verify_exit_0_and_4(tmp_path):
     assert (tmp_path / "v" / "verdicts.jsonl").exists()
     bad = write(tmp_path, "verify.sabotage = thm1\n", "sab.cfg")
     assert main(["verify", str(bad), "--out", str(tmp_path / "v2"), "--quiet"]) == 4
+
+
+def test_verify_descent_premise_violation_is_a_failed_verdict(tmp_path):
+    # at master seed 4 the logistic fixture's smoothness estimate rules out alpha 0.05
+    assert main(["verify", "--out", str(tmp_path), "--quiet", "--seed", "4"]) == 4
+    verdicts = map(json.loads, (tmp_path / "verdicts.jsonl").read_text().splitlines())
+    thm3 = [v for v in verdicts if v["theorem_id"] == "thm3"]
+    assert len(thm3) == 1
+    assert not thm3[0]["passed"]
+    assert "violates the descent premise" in thm3[0]["notes"]
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -130,9 +130,10 @@ def test_load_csv_ragged_row_names_line(tmp_path):
 
 def test_load_csv_non_numeric_names_line(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("0,1.0,2.0\n1,x,2.0\n")
-    with pytest.raises(DataFormatError, match="line 2"):
-        load_csv(p)
+    for bad in ("1,x,2.0", "1,nan,1.0", "0,inf,3", "nan,1.0,2.0"):
+        p.write_text(f"0,1.0,2.0\n{bad}\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_csv(p)
 
 
 def test_load_csv_empty_file(tmp_path):
