@@ -17,10 +17,19 @@ that differs per variant only in whether it first gathers ``grad_i(x)`` (a
 second communication) and where it adds the displacement ``-beta*v_i``. The
 :data:`VARIANTS` table gives every variant's round, updates per round and
 schedule, beta and mu use; the harness and ``AlgoConfig.validate`` read it.
+
+The engine runs the m participants in lockstep, as the algorithms allow: their
+iterates are the rows of one ``(m, dim)`` array, each schedule's K batches are
+drawn at round start, and each local step is one stacked gradient call
+(:meth:`FederatedProblem.stacked_grads`) followed by vectorised displacement,
+control-variate, proximal and update terms and one fused divergence guard.
+Every row is bit-equal to the participant run alone. A divergence reports the
+earliest step and, at that step, the lowest participant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +76,9 @@ class AlgoConfig:
         """Raise on hard errors; return warnings for ignored fields."""
         if self.variant not in VARIANTS:
             raise UsageError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
+        for field in ("alpha", "beta", "mu"):
+            if not math.isfinite(getattr(self, field)):
+                raise UsageError(f"{field} must be finite")
         if not self.alpha > 0:
             raise UsageError("alpha must be > 0")
         if self.beta < 0:
@@ -98,7 +110,8 @@ class RoundResult:
 
 
 def _guard(x: np.ndarray, algorithm: str, round_index, step):
-    nrm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(x))
     if not np.isfinite(nrm) or nrm > DIVERGENCE_NORM:
         where = f"round {round_index}, " if round_index is not None else ""
         raise DivergenceError(
@@ -108,6 +121,19 @@ def _guard(x: np.ndarray, algorithm: str, round_index, step):
             step=step,
         )
     return x
+
+
+# squared row norms below this pass the lockstep guard without the exact norm;
+# the 1% margin covers the rounding gap between the two ways of summing
+_GUARD_SQ = (0.99 * DIVERGENCE_NORM) ** 2
+
+
+def _guard_rows(Y: np.ndarray, algorithm: str, round_index, step):
+    """``_guard`` on every row of ``Y``, lowest row first, from one fused pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", Y, Y)
+    for row in np.flatnonzero(~(sq < _GUARD_SQ)):
+        _guard(Y[row], algorithm, round_index, step)
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +254,37 @@ class _Variant:
 def _local_round(spec: _Variant, name, problem, x, alpha, beta, K, scheds, part, mu,
                  round_index) -> RoundResult:
     """K local steps per participant from x under ``spec``, then average.
-    Nonzero ``mu`` adds FedProx's proximal term ``mu*(y - x)`` to each step."""
-    norms = np.zeros(len(part))
-    if spec.anchor:
-        grads0 = [problem.clients[i].grad(x) for i in part]
-        gbar = mean_reduce(grads0)
-        vs = [gbar - g for g in grads0]
-        scale = abs(beta) if spec.displace else alpha
-        norms = np.array([scale * float(np.linalg.norm(v)) for v in vs])
-    shift = spec.displace if beta != 0.0 else None
+    Nonzero ``mu`` adds FedProx's proximal term ``mu*(y - x)`` to each step.
 
-    finals = []
-    for j, i in enumerate(part):
-        y = axpy(-beta, vs[j], x) if shift == "start" else x
-        for k in range(K):
-            batch = scheds[j].next_batch() if scheds[j] is not None else None
-            point = axpy(-beta, vs[j], y) if shift == "step" else y
-            g = problem.clients[i].stoch_grad(point, batch)
-            if spec.anchor and not spec.displace:
-                g = (g - grads0[j]) + gbar
-            if mu != 0.0:
-                g = g + mu * (y - x)
-            y = axpy(-alpha, g, y)
-            _guard(y, name, round_index, k)
-        finals.append(y)
+    The participants step in lockstep: row j of ``Y`` is participant j's
+    iterate, and each step takes one stacked gradient call for all rows.
+    """
+    m = len(part)
+    X0 = np.broadcast_to(x, (m,) + x.shape)
+    norms = np.zeros(m)
+    if spec.anchor:
+        G0 = problem.stacked_grads(part, X0, [None] * m)
+        gbar = mean_reduce(G0)
+        V = gbar - G0
+        scale = abs(beta) if spec.displace else alpha
+        norms = np.array([scale * float(np.linalg.norm(v)) for v in V])
+    shift = spec.displace if beta != 0.0 else None
+    batches = [s.take(K) if s is not None else [None] * K for s in scheds]
+
+    Y = axpy(-beta, V, X0) if shift == "start" else X0
+    for k in range(K):
+        point = axpy(-beta, V, Y) if shift == "step" else Y
+        G = problem.stacked_grads(part, point, [b[k] for b in batches])
+        if spec.anchor and not spec.displace:
+            G = (G - G0) + gbar
+        if mu != 0.0:
+            G = G + mu * (Y - x)
+        Y = axpy(-alpha, G, Y)
+        _guard_rows(Y, name, round_index, k)
+    finals = tuple(Y)
     return RoundResult(
         server_params=mean_reduce(finals),
-        per_client_final=tuple(finals),
+        per_client_final=finals,
         participants=tuple(part),
         comm_rounds_used=2 if spec.anchor else 1,
         displacement_norms=norms,
@@ -288,11 +318,14 @@ def run_round(cfg: AlgoConfig, problem, x, schedules=None, participants=None,
     entry = VARIANTS[cfg.variant]
     part = list(range(problem.n)) if participants is None else sorted(int(i) for i in participants)
     scheds = schedules if schedules is not None else [None] * len(part)
-    if entry.sequence is None:
-        return _local_round(entry, cfg.variant, problem, x, cfg.alpha, cfg.beta,
-                            cfg.local_steps if entry.schedules else 1, scheds, part,
-                            cfg.mu if entry.uses_mu else 0.0, round_index)
-    x = entry.sequence(cfg, [problem.clients[i] for i in part], x, scheds, stream, round_index)
+    # an overflow leaves a non-finite or huge iterate, which the guards report
+    with np.errstate(over="ignore", invalid="ignore"):
+        if entry.sequence is None:
+            return _local_round(entry, cfg.variant, problem, x, cfg.alpha, cfg.beta,
+                                cfg.local_steps if entry.schedules else 1, scheds, part,
+                                cfg.mu if entry.uses_mu else 0.0, round_index)
+        x = entry.sequence(cfg, [problem.clients[i] for i in part], x, scheds, stream,
+                           round_index)
     return RoundResult(
         server_params=x,
         per_client_final=(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .algorithms import VARIANTS, AlgoConfig, run_round
 from .datagen import MinibatchSchedule, gen_blobs, load_csv, partition, train_test_split
-from .errors import ConfigError, DivergenceError, UsageError
+from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .objectives import FederatedProblem, make_supervised_client
 from .params import SeededStream
 from .regularizer import regularizer_report
@@ -223,6 +224,13 @@ def parse_config(path, purpose: str = "run") -> ExperimentConfig:
         model = got("problem.model", "logistic")
         if model not in ("logistic", "mlp"):
             raise ConfigError(f"problem.model must be logistic or mlp, got {model!r}")
+        for key in ("problem.sep", "problem.l2"):
+            if not math.isfinite(got(key, 0.0)):
+                raise ConfigError(f"{key} must be finite, got {got(key)!r}")
+        if got("problem.l2", 0.0) < 0:
+            raise ConfigError("problem.l2 must be >= 0")
+        if got("problem.hidden", 16) < 1:
+            raise ConfigError("problem.hidden must be >= 1")
         problem = ProblemSpec(
             kind=kind,
             clients=got("problem.clients"),
@@ -400,7 +408,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
 
     Each round samples ``clients_per_round`` clients without replacement from
     a round-derived stream. On divergence the partial metrics file is kept,
-    a truncation marker is appended, and the error is re-raised.
+    a truncation marker is appended, and the error is re-raised; any other
+    NumericError mid-run (a non-finite gradient) is raised as a divergence of
+    that round.
     """
     if cfg.problem is None or cfg.algo is None or cfg.run is None:
         raise ConfigError("run_experiment needs problem, algo, and run sections")
@@ -446,11 +456,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
                     record = MetricsRecord(round=r, comm_rounds_cum=comm,
                                            updates_cum=updates, **stats)
                     fh.write(record.to_json() + "\n")
-        except DivergenceError as exc:
+        except NumericError as exc:
+            err = exc if isinstance(exc, DivergenceError) else DivergenceError(
+                f"{cfg.algo.variant} diverged (round {r}): {exc}",
+                algorithm=cfg.algo.variant, round_index=r)
             fh.write(json.dumps(
-                {"truncated": True, "round": exc.round_index, "error": str(exc)},
+                {"truncated": True, "round": err.round_index, "error": str(err)},
                 separators=(",", ":")) + "\n")
-            raise
+            raise err
     write_checkpoint(ckpt_path, x)
     if not quiet:
         print(f"wrote {metrics_path}")

@@ -104,7 +104,14 @@ class QuadraticClient(ClientObjective):
 
 
 class _SupervisedClient(ClientObjective):
-    """Shared plumbing for data-backed clients (features, labels, L2 decay)."""
+    """Shared plumbing for data-backed clients (features, labels, L2 decay).
+
+    A subclass names its :mod:`gradalign.kernels` value+grad function in
+    ``_kernel`` (looked up at call time) and gives ``_set_shapes`` the shapes
+    of the parameter blocks its kernel takes, in their order in the flat
+    vector. Each model class keeps its own ``grad`` and ``stoch_grad``, so
+    per-class tracing (see ``perfbench/layertrace.py``) finds them.
+    """
 
     def __init__(self, features, labels, n_classes, l2_decay=0.0, client_id=None):
         X = np.ascontiguousarray(features, dtype=np.float64)
@@ -120,10 +127,37 @@ class _SupervisedClient(ClientObjective):
         self.data_size = X.shape[0]
         self.client_id = client_id
 
+    def _set_shapes(self, *shapes):
+        self._shapes = shapes
+        ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
+        self._blocks = tuple(zip([0] + ends[:-1], ends, shapes))
+        self.dim = ends[-1]
+
     def _slice(self, batch):
         if batch is None:
             return self.features, self.labels
         return self.features[batch], self.labels[batch]
+
+    def _unpack(self, x):
+        """Views of the parameter blocks of ``x`` (..., dim); leading axes stay."""
+        lead = x.shape[:-1]
+        return [x[..., lo:hi].reshape(lead + shape) for lo, hi, shape in self._blocks]
+
+    def _data_grad(self, X, y, x):
+        """Gradient of the data term at ``x`` (..., dim) on data X (..., n, d)."""
+        _, *grads = getattr(kernels, self._kernel)(X, y, *self._unpack(x))
+        return np.concatenate([g.reshape(x.shape[:-1] + (-1,)) for g in grads], axis=-1)
+
+    def value(self, x):
+        loss = getattr(kernels, self._kernel)(self.features, self.labels, *self._unpack(x))[0]
+        return loss + 0.5 * self.l2_decay * float(x @ x)
+
+    def stoch_grad(self, x, batch=None):
+        X, y = self._slice(batch)
+        g = self._data_grad(X, y, x)
+        if self.l2_decay:
+            g += self.l2_decay * x
+        return self._checked(g)
 
     def logits(self, x, X=None):
         raise NotImplementedError
@@ -135,32 +169,18 @@ class _SupervisedClient(ClientObjective):
 class LogisticClient(_SupervisedClient):
     """Multinomial logistic regression; params are W (m x C) then bias (C)."""
 
+    _kernel = "logistic_value_grad"
+
     def __init__(self, features, labels, n_classes, l2_decay=0.0, client_id=None):
         super().__init__(features, labels, n_classes, l2_decay, client_id)
-        m = self.features.shape[1]
-        self.dim = m * self.n_classes + self.n_classes
-
-    def _unpack(self, x):
-        m = self.features.shape[1]
-        c = self.n_classes
-        return x[: m * c].reshape(m, c), x[m * c :]
-
-    def value(self, x):
-        W, b = self._unpack(x)
-        loss, _, _ = kernels.logistic_value_grad(self.features, self.labels, W, b)
-        return loss + 0.5 * self.l2_decay * float(x @ x)
+        m, c = self.features.shape[1], self.n_classes
+        self._set_shapes((m, c), (c,))
 
     def grad(self, x):
         return self.stoch_grad(x, None)
 
     def stoch_grad(self, x, batch=None):
-        X, y = self._slice(batch)
-        W, b = self._unpack(x)
-        _, gW, gb = kernels.logistic_value_grad(X, y, W, b)
-        g = np.concatenate([gW.ravel(), gb])
-        if self.l2_decay:
-            g += self.l2_decay * x
-        return self._checked(g)
+        return super().stoch_grad(x, batch)
 
     def logits(self, x, X=None):
         W, b = self._unpack(x)
@@ -170,44 +190,20 @@ class LogisticClient(_SupervisedClient):
 class MLPClient(_SupervisedClient):
     """input -> hidden tanh -> softmax; smooth enough for Taylor-residual checks."""
 
+    _kernel = "mlp_value_grad"
+
     def __init__(self, features, labels, n_classes, hidden=16, l2_decay=0.0, client_id=None):
         super().__init__(features, labels, n_classes, l2_decay, client_id)
         m = self.features.shape[1]
         self.hidden = int(hidden)
         h, c = self.hidden, self.n_classes
-        self._sizes = (m * h, h, h * c, c)
-        self.dim = sum(self._sizes)
-
-    def _unpack(self, x):
-        m = self.features.shape[1]
-        h, c = self.hidden, self.n_classes
-        s0, s1, s2, s3 = self._sizes
-        o1 = s0
-        o2 = o1 + s1
-        o3 = o2 + s2
-        return (
-            x[:o1].reshape(m, h),
-            x[o1:o2],
-            x[o2:o3].reshape(h, c),
-            x[o3:],
-        )
-
-    def value(self, x):
-        W1, b1, W2, b2 = self._unpack(x)
-        loss = kernels.mlp_value_grad(self.features, self.labels, W1, b1, W2, b2)[0]
-        return loss + 0.5 * self.l2_decay * float(x @ x)
+        self._set_shapes((m, h), (h,), (h, c), (c,))
 
     def grad(self, x):
         return self.stoch_grad(x, None)
 
     def stoch_grad(self, x, batch=None):
-        X, y = self._slice(batch)
-        W1, b1, W2, b2 = self._unpack(x)
-        _, gW1, gb1, gW2, gb2 = kernels.mlp_value_grad(X, y, W1, b1, W2, b2)
-        g = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
-        if self.l2_decay:
-            g += self.l2_decay * x
-        return self._checked(g)
+        return super().stoch_grad(x, batch)
 
     def logits(self, x, X=None):
         W1, b1, W2, b2 = self._unpack(x)
@@ -266,7 +262,10 @@ class FederatedProblem:
 
     The mean gradient is always assembled with :func:`mean_reduce` over
     ascending client index; every algorithm and check shares this one path so
-    coupled comparisons stay bit-reproducible.
+    coupled comparisons stay bit-reproducible. All client gradients go through
+    :meth:`stacked_grads`, which gathers each call's batches from one pool of
+    every client's examples and keeps the full-data stack of the last client
+    set it saw, so repeated full-batch calls stack the data once.
     """
 
     def __init__(self, clients):
@@ -276,8 +275,13 @@ class FederatedProblem:
         dims = {c.dim for c in clients}
         if len(dims) != 1:
             raise DimensionError(f"clients disagree on dimension: {sorted(dims)}")
+        widths = {c.features.shape[1] for c in clients if c.data_size is not None}
+        if len(widths) > 1:
+            raise DimensionError(f"clients disagree on input width: {sorted(widths)}")
         self.clients = clients
         self.dim = clients[0].dim
+        self._pool = None  # every client's examples in one array, built on first use
+        self._full_stack = (None, None, None)
 
     @property
     def n(self) -> int:
@@ -289,8 +293,66 @@ class FederatedProblem:
             total += c.value(x)
         return total / self.n
 
+    def stacked_grads(self, idx, Y, batches) -> np.ndarray:
+        """Gradients of clients ``idx`` at the rows of ``Y`` (m, dim), row j on
+        ``batches[j]``: an integer index array into that client's examples, in
+        ``[0, data_size)``, or None for all of them. Returns (m, dim).
+
+        Row j is bit-equal to ``clients[idx[j]].stoch_grad(Y[j], batches[j])``.
+        Supervised clients take one stacked kernel call per group of equal
+        batch length (grouping, not padding, keeps each row's reduction
+        length); data-free clients are evaluated row by row. A non-finite
+        gradient raises NumericError naming the lowest such client.
+        """
+        G = np.empty(Y.shape)
+        groups = {}
+        for row, (i, batch) in enumerate(zip(idx, batches)):
+            c = self.clients[i]
+            if c.data_size is None:
+                G[row] = c.stoch_grad(Y[row], batch)
+                continue
+            n = c.data_size if batch is None else len(batch)
+            groups.setdefault((c._kernel, c._shapes, c.l2_decay, n), []).append(row)
+        # overflow here shows up as a non-finite gradient, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (_, _, l2, _), rows in groups.items():
+                sel = slice(None) if len(rows) == len(G) else rows
+                X, y = self._stack(idx, rows, batches)
+                g = self.clients[idx[rows[0]]]._data_grad(X, y, Y[sel])
+                if l2:
+                    g += l2 * Y[sel]
+                G[sel] = g
+        finite = np.isfinite(G)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NumericError(
+                f"non-finite gradient from client {self.clients[idx[row]].client_id!r}")
+        return G
+
+    def _stack(self, idx, rows, batches):
+        """Stacked (X, y) batches of clients ``idx[rows]``, gathered from the
+        data pool in one take; a full-data stack is kept for the next call."""
+        key = tuple(int(idx[r]) for r in rows)
+        full = all(batches[r] is None for r in rows)
+        if full and self._full_stack[0] == key:
+            return self._full_stack[1:]
+        if self._pool is None:
+            data = [c for c in self.clients if c.data_size is not None]
+            starts = np.cumsum([0] + [c.data_size or 0 for c in self.clients])
+            self._pool = (np.concatenate([c.features for c in data]),
+                          np.concatenate([c.labels for c in data]), starts)
+        pool_X, pool_y, starts = self._pool
+        take = np.stack([np.arange(self.clients[i].data_size) if batches[r] is None
+                         else batches[r] for i, r in zip(key, rows)])
+        take += starts[list(key)][:, None]
+        X, y = pool_X.take(take, axis=0), pool_y.take(take)
+        if full:
+            self._full_stack = (key, X, y)
+        return X, y
+
     def client_grads(self, x):
-        return [c.grad(x) for c in self.clients]
+        n = self.n
+        return list(self.stacked_grads(range(n), np.broadcast_to(x, (n,) + x.shape), [None] * n))
 
     def grad(self, x) -> np.ndarray:
         return mean_reduce(self.client_grads(x))

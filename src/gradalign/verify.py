@@ -329,7 +329,7 @@ def perstep_equivalence_check(problem, x0, alpha, beta, K, batch_size, rounds,
         sched_b = _coupled_schedules(problem, part, batch_size, rs)
         res_a = fedga_round(problem, x, alpha, beta, K, sched_a)
         res_b = fedga_perstep_round(problem, x, alpha, beta, K, sched_b)
-        grads0 = [problem.clients[i].grad(x) for i in part]
+        grads0 = problem.client_grads(x)
         gbar = mean_reduce(grads0)
         scale = max(1.0, float(np.linalg.norm(res_a.server_params)))
         gap = float(np.linalg.norm(res_a.server_params - res_b.server_params)) / scale

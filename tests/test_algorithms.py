@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradalign.algorithms import (
+    VARIANTS,
     AlgoConfig,
     expected_round,
     fedavg_round,
@@ -13,13 +16,14 @@ from gradalign.algorithms import (
     linear_scaled_step,
     run_gd_sequence,
     run_sgd_sequence,
+    run_round,
     run_surrogate_gd_sequence,
     scaffold_round,
 )
-from gradalign.datagen import MinibatchSchedule
-from gradalign.errors import DivergenceError, UsageError
-from gradalign.objectives import FederatedProblem
-from gradalign.params import SeededStream, mean_reduce
+from gradalign.datagen import MinibatchSchedule, gen_blobs, partition
+from gradalign.errors import ConfigError, DivergenceError, UsageError
+from gradalign.objectives import FederatedProblem, make_supervised_client
+from gradalign.params import SeededStream, axpy, mean_reduce
 from gradalign.regularizer import regularizer_report
 
 from conftest import make_homogeneous
@@ -443,3 +447,81 @@ def test_algo_config_validation_and_warnings():
         w = AlgoConfig(variant, 0.1, beta=0.5, mu=0.3).validate()
         assert any("beta" in m for m in w) == (variant not in beta_users), variant
         assert any("mu" in m for m in w) == (variant != "fedprox"), variant
+
+
+# ---------------------------------------------------------------------------
+# lockstep engine vs the per-client reference
+# ---------------------------------------------------------------------------
+
+LOCAL_STEP_VARIANTS = sorted(name for name, v in VARIANTS.items() if v.sequence is None)
+
+
+def reference_local_round(cfg, problem, x, schedules, participants):
+    """The per-client engine: each participant runs its K steps alone, on the
+    2-D kernels, before the next one starts. Returns (server, finals, norms)."""
+    spec = VARIANTS[cfg.variant]
+    part = sorted(participants)
+    K = cfg.local_steps if spec.schedules else 1
+    mu = cfg.mu if spec.uses_mu else 0.0
+    alpha, beta = cfg.alpha, cfg.beta
+    norms = np.zeros(len(part))
+    if spec.anchor:
+        grads0 = [problem.clients[i].grad(x) for i in part]
+        gbar = mean_reduce(grads0)
+        vs = [gbar - g for g in grads0]
+        scale = abs(beta) if spec.displace else alpha
+        norms = np.array([scale * float(np.linalg.norm(v)) for v in vs])
+    shift = spec.displace if beta != 0.0 else None
+    finals = []
+    for j, i in enumerate(part):
+        y = axpy(-beta, vs[j], x) if shift == "start" else x
+        for _ in range(K):
+            batch = schedules[j].next_batch() if schedules is not None else None
+            point = axpy(-beta, vs[j], y) if shift == "step" else y
+            g = problem.clients[i].stoch_grad(point, batch)
+            if spec.anchor and not spec.displace:
+                g = (g - grads0[j]) + gbar
+            if mu != 0.0:
+                g = g + mu * (y - x)
+            y = axpy(-alpha, g, y)
+        finals.append(y)
+    return mean_reduce(finals), finals, norms
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(LOCAL_STEP_VARIANTS), model=st.sampled_from(["logistic", "mlp"]),
+       classes=st.integers(2, 4), per_class=st.integers(5, 14), dim=st.integers(1, 4),
+       n_clients=st.integers(1, 5), mode=st.sampled_from(["iid", "label_shard"]),
+       shards=st.integers(1, 2), batch=st.one_of(st.none(), st.integers(1, 9)),
+       K=st.integers(1, 4), alpha=st.floats(0.01, 0.5), beta=st.sampled_from([0.0, 0.05, 0.3]),
+       mu=st.sampled_from([0.0, 0.2]), l2=st.sampled_from([0.0, 0.01]),
+       picks=st.lists(st.booleans(), min_size=5, max_size=5), seed=st.integers(0, 2**16))
+def test_lockstep_engine_is_bitwise_the_per_client_reference(
+        variant, model, classes, per_class, dim, n_clients, mode, shards, batch, K, alpha, beta,
+        mu, l2, picks, seed):
+    root = SeededStream(seed)
+    ds = gen_blobs(classes, per_class, dim, 3.0, root.derive("blobs", 0))
+    try:
+        part = partition(ds, n_clients, mode, root.derive("partition", 0), shards)
+    except ConfigError:
+        assume(False)
+    problem = FederatedProblem([
+        make_supervised_client(ds.features[idx], ds.labels[idx], classes, model=model,
+                               hidden=3, l2_decay=l2, client_id=i)
+        for i, idx in enumerate(part.assignment)])
+    participants = [i for i in range(n_clients) if picks[i]] or [n_clients - 1]
+    x = 0.3 * root.derive("x", 0).generator().standard_normal(problem.dim)
+    cfg = AlgoConfig(variant, alpha, beta, K, batch, mu)
+
+    def schedules():
+        if not VARIANTS[variant].schedules:
+            return None
+        return [MinibatchSchedule(problem.clients[i].data_size, batch,
+                                  root.derive("client", i)) for i in participants]
+
+    got = run_round(cfg, problem, x, schedules(), participants)
+    server, finals, norms = reference_local_round(cfg, problem, x, schedules(), participants)
+    assert got.server_params.tobytes() == server.tobytes()
+    assert [f.tobytes() for f in got.per_client_final] == [f.tobytes() for f in finals]
+    assert got.displacement_norms.tobytes() == norms.tobytes()
+

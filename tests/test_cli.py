@@ -1,4 +1,8 @@
 import json
+import warnings
+
+import numpy as np
+import pytest
 
 from gradalign.cli import main
 from gradalign.datagen import load_csv
@@ -28,6 +32,15 @@ def write(tmp_path, text, name="c.cfg"):
     return p
 
 
+def with_values(text, *lines):
+    """``text`` with each ``key = value`` line set, replacing the key's old line."""
+    for line in lines:
+        key = line.split("=")[0].strip()
+        kept = [old for old in text.splitlines() if old.split("=")[0].strip() != key]
+        text = "\n".join(kept + [line]) + "\n"
+    return text
+
+
 def test_run_exit_zero_and_prints_path(tmp_path, capsys):
     cfg = write(tmp_path, RUN_CFG)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
@@ -53,6 +66,39 @@ def test_data_layer_config_error_exit_2(tmp_path, capsys):
         for command in commands:
             assert main([command, str(cfg), "--out", str(tmp_path / command), "--quiet"]) == 2
             assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [
+    ("algo.alpha = inf",), ("algo.beta = inf",), ("algo.beta = nan",), ("algo.mu = nan",),
+    ("problem.sep = inf",), ("problem.sep = nan",), ("problem.l2 = nan",), ("problem.l2 = -1",),
+    ("problem.model = mlp", "problem.hidden = -2"), ("problem.model = mlp", "problem.hidden = 0"),
+], ids=lambda lines: lines[-1])
+def test_invalid_config_value_exit_2(tmp_path, capsys, lines):
+    cfg = write(tmp_path, with_values(RUN_CFG, *lines))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["huge_l2", "huge_features", "non_finite_gradient"])
+def test_overflow_exits_3_with_marker_and_no_numpy_warning(tmp_path, capsys, case):
+    lines = {"huge_l2": ["problem.l2 = 1e308"],
+             "huge_features": ["problem.kind = csv", f"problem.path = {tmp_path / 'big.csv'}"],
+             # steps too small to pass the norm guard before l2 * y overflows
+             "non_finite_gradient": ["problem.l2 = 1e308", "algo.alpha = 1e-300"]}[case]
+    rng = np.random.default_rng(0)
+    (tmp_path / "big.csv").write_text("".join(
+        ",".join([str(c)] + [repr(float(v)) for v in 1e200 * (rng.standard_normal(3) + 3 * c)])
+        + "\n" for c in range(3) for _ in range(20)))
+    cfg = write(tmp_path, with_values(RUN_CFG, *lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 3
+    assert "diverged" in capsys.readouterr().err
+    marker = json.loads((tmp_path / "out" / "c-seed2.metrics.jsonl").read_text().splitlines()[-1])
+    assert marker["truncated"] is True and marker["round"] == 1
+    if case == "non_finite_gradient":
+        assert "non-finite gradient from client" in marker["error"]
 
 
 def test_divergence_exit_3(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from gradalign import harness
 from gradalign.algorithms import run_gd_sequence
 from gradalign.errors import ConfigError, DivergenceError
 from gradalign.harness import (
@@ -17,6 +19,7 @@ from gradalign.harness import (
     verify_suite,
     write_checkpoint,
 )
+from gradalign.objectives import FederatedProblem, QuadraticClient
 from gradalign.params import SeededStream
 from gradalign.regularizer import regularizer_report
 
@@ -239,6 +242,28 @@ def test_divergence_preserves_partial_metrics(tmp_path):
         marker = json.loads(lines[-1])
         assert marker["truncated"] is True
         assert "error" in marker
+
+
+def test_divergence_marker_reports_the_earliest_step(tmp_path, monkeypatch):
+    # 1-D quadratics from x = 0: client 0 grows 1000x per step and passes the
+    # 1e8 norm bound at step 3; client 1 starts at 1e4 and passes it at step 1
+    quads = FederatedProblem([QuadraticClient([[1001.0]], [1.0], client_id=0),
+                              QuadraticClient([[100001.0]], [1e4], client_id=1)])
+    real_build = harness.build_problem
+
+    def build_quadratics(spec, stream):
+        return dataclasses.replace(real_build(spec, stream), problem=quads)
+
+    monkeypatch.setattr(harness, "build_problem", build_quadratics)
+    p = write_cfg(tmp_path, BASE_CFG.replace("algo.alpha = 0.1", "algo.alpha = 1.0")
+                  .replace("algo.batch = 8", "algo.batch = full"))
+    with pytest.raises(DivergenceError) as exc:
+        run_experiment(parse_config(p), tmp_path / "out")
+    assert exc.value.step == 1
+    lines = (tmp_path / "out" / "exp-seed9.metrics.jsonl").read_text().splitlines()
+    assert json.loads(lines[-1]) == {
+        "truncated": True, "round": 1,
+        "error": "fedavg diverged (round 1, step 1): iterate norm 1.000e+09"}
 
 
 def test_partial_participation_sampling(tmp_path):

@@ -1,9 +1,13 @@
-"""Saturated softmax: an infinite loss, a finite gradient and no numpy warning."""
+"""Kernel contracts: a saturated softmax gives an infinite loss, a finite
+gradient and no numpy warning; a stacked call computes each slice exactly as
+the 2-D call on it."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalign import kernels
 
@@ -26,3 +30,24 @@ def test_saturated_loss_is_inf_without_warning(model):
         loss, *grads = kernel(X, y, *params)
     assert loss == np.inf
     assert all(np.isfinite(g).all() for g in grads)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), m=st.integers(1, 4), n=st.integers(1, 12),
+       d=st.integers(1, 5), c=st.integers(2, 5), h=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_stacked_call_is_bitwise_the_2d_call_per_slice(model, m, n, d, c, h, seed):
+    rng = np.random.default_rng(seed)
+    X = 3.0 * rng.standard_normal((m, n, d))
+    labels = rng.integers(0, c, (m, n))
+    if model == "logistic":
+        kernel, shapes = kernels.logistic_value_grad, [(d, c), (c,)]
+    else:
+        kernel, shapes = kernels.mlp_value_grad, [(d, h), (h,), (h, c), (c,)]
+    params = [rng.standard_normal((m,) + s) for s in shapes]
+    stacked = kernel(X, labels, *params)
+    assert stacked[0].shape == (m,)
+    for j in range(m):
+        flat = kernel(X[j], labels[j], *(p[j] for p in params))
+        assert type(flat[0]) is float
+        for whole, part in zip(stacked, flat):
+            assert whole[j].tobytes() == np.asarray(part).tobytes()

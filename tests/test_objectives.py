@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradalign.errors import DimensionError, UsageError
+from gradalign.errors import DimensionError, NumericError, UsageError
 from gradalign.objectives import (
     FederatedProblem,
     LogisticClient,
@@ -199,3 +201,37 @@ def test_federated_problem_dim_mismatch():
     with pytest.raises(DimensionError):
         FederatedProblem([QuadraticClient([[1.0]], [0.0]),
                           QuadraticClient(np.eye(2), [0.0, 0.0])])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), sizes=st.lists(st.integers(1, 12), min_size=1,
+       max_size=5), batch=st.integers(1, 6), full=st.lists(st.booleans(), min_size=5, max_size=5),
+       l2=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
+def test_stacked_grads_rows_are_bitwise_stoch_grad(model, sizes, batch, full, l2, seed):
+    # uneven clients, ragged tail batches and full-data rows mixed in one call
+    rng = np.random.default_rng(seed)
+    clients = [make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
+                                      model=model, hidden=4, l2_decay=l2, client_id=i)
+               for i, n in enumerate(sizes)]
+    problem = FederatedProblem(clients)
+    idx = [i for i in range(len(sizes)) for _ in range(2)]
+    batches = [None if full[i] else rng.permutation(sizes[i])[:batch] for i in idx]
+    Y = rng.standard_normal((len(idx), problem.dim))
+    for _ in range(2):  # the second call reuses the cached full-data stack
+        G = problem.stacked_grads(idx, Y, batches)
+        for j, i in enumerate(idx):
+            assert G[j].tobytes() == clients[i].stoch_grad(Y[j], batches[j]).tobytes()
+    for x in (Y[0], Y[-1]):
+        expected = [c.grad(x).tobytes() for c in clients]
+        assert [g.tobytes() for g in problem.client_grads(x)] == expected
+
+
+def test_stacked_grads_names_the_lowest_non_finite_client(quad3, logistic_problem):
+    Y = np.zeros((3, logistic_problem.dim))
+    Y[1:, 0] = np.inf
+    with pytest.raises(NumericError, match="from client 1"):
+        logistic_problem.stacked_grads([0, 1, 2], Y, [None] * 3)
+    Yq = np.ones((3, quad3.dim))
+    Yq[2] = np.nan
+    with pytest.raises(NumericError, match="from client 2"):
+        quad3.stacked_grads([0, 1, 2], Yq, [None] * 3)
