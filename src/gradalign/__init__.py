@@ -48,6 +48,7 @@ from .regularizer import (
     SmoothnessEstimate,
     estimate_smoothness_constants,
     regularizer_report,
+    regularizer_value,
     surrogate_value,
 )
 from .verify import (

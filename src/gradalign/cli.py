@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .datagen import gen_blobs, save_csv
 from .errors import ConfigError, DivergenceError, UsageError
-from .harness import parse_config, run_experiment, run_sweep, verify_suite
+from .harness import make_out_dir, parse_config, run_experiment, run_sweep, verify_suite
 from .params import SeededStream
 
 EXIT_OK = 0
@@ -90,9 +90,7 @@ def main(argv=None) -> int:
                                SeededStream(seed).derive("data", 0).derive("blobs", 0))
             except UsageError as exc:
                 raise ConfigError(str(exc)) from None
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{Path(args.config).stem}.csv"
+            path = make_out_dir(args.out) / f"{Path(args.config).stem}.csv"
             save_csv(ds, path)
             if not args.quiet:
                 print(path)

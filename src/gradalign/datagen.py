@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -161,35 +162,38 @@ def load_csv(path) -> Dataset:
     """Parse ``label,feat_0,...`` rows; labels are remapped to contiguous
     0..C-1 in first-appearance order. Header lines are auto-detected by a
     non-numeric first field."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read data file {path}: {exc}") from None
     raw_labels = []
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if lineno == 1:
-                try:
-                    float(fields[0])
-                except ValueError:
-                    continue  # header
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise DataFormatError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(fields)} fields, expected {width})"
-                )
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if lineno == 1:
             try:
-                values = [float(v) for v in fields]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: non-numeric value at line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataFormatError(f"{path}: non-finite value at line {lineno}")
-            raw_labels.append(values[0])
-            rows.append(values[1:])
+                float(fields[0])
+            except ValueError:
+                continue  # header
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DataFormatError(
+                f"{path}: ragged row at line {lineno} "
+                f"({len(fields)} fields, expected {width})"
+            )
+        try:
+            values = [float(v) for v in fields]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: non-numeric value at line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise DataFormatError(f"{path}: non-finite value at line {lineno}")
+        raw_labels.append(values[0])
+        rows.append(values[1:])
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     if width is not None and width < 2:

@@ -23,8 +23,8 @@ from .algorithms import VARIANTS, AlgoConfig, run_round
 from .datagen import MinibatchSchedule, gen_blobs, load_csv, partition, train_test_split
 from .errors import ConfigError, DivergenceError, NumericError, UsageError
 from .objectives import FederatedProblem, make_supervised_client
-from .params import SeededStream
-from .regularizer import regularizer_report
+from .params import SeededStream, mean_reduce
+from .regularizer import regularizer_value
 from . import verify as verify_mod
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "SweepResult",
     "parse_config",
     "build_problem",
+    "make_out_dir",
     "run_experiment",
     "run_sweep",
     "verify_suite",
@@ -181,20 +182,23 @@ def parse_config(path, purpose: str = "run") -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}: expected key = value at line {lineno}: {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError(f"{path}: unknown key {key!r} at line {lineno}")
-            if key in values:
-                raise ConfigError(f"{path}: duplicate key {key!r} at line {lineno}")
-            values[key] = (_parse_scalar(raw, _KEYS[key], key, lineno), lineno)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}: expected key = value at line {lineno}: {text!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"{path}: unknown key {key!r} at line {lineno}")
+        if key in values:
+            raise ConfigError(f"{path}: duplicate key {key!r} at line {lineno}")
+        values[key] = (_parse_scalar(raw, _KEYS[key], key, lineno), lineno)
 
     def got(key, default=None):
         return values[key][0] if key in values else default
@@ -382,24 +386,35 @@ def _loss_acc(client, x, X, y, l2):
 
 
 def evaluate(inst: ProblemInstance, x: np.ndarray, participants) -> dict:
+    """One eval point's metrics; every gradient comes from one stacked call
+    over all clients, and no Hessian-vector product is taken."""
     ref = inst.problem.clients[0]
     train_loss, train_acc = _loss_acc(ref, x, inst.train_features, inst.train_labels, inst.l2)
     test_loss, test_acc = _loss_acc(ref, x, inst.test_features, inst.test_labels, inst.l2)
-    rep = regularizer_report(inst.problem.subset(participants), x)
-    dev0 = float(np.linalg.norm(inst.problem.grad(x) - inst.problem.clients[0].grad(x)))
+    G = inst.problem.client_grads(x)
     return {
         "train_loss": train_loss,
         "train_acc": train_acc,
         "test_loss": test_loss,
         "test_acc": test_acc,
-        "grad_var": 2.0 * rep.r_value,
-        "dev_client0": dev0,
+        "grad_var": 2.0 * regularizer_value(G[i] for i in participants),
+        "dev_client0": float(np.linalg.norm(mean_reduce(G) - G[0])),
     }
 
 
 # ---------------------------------------------------------------------------
 # experiment engine
 # ---------------------------------------------------------------------------
+
+
+def make_out_dir(out_dir) -> Path:
+    """Create the output directory; a path that cannot be one is a ConfigError."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from None
+    return out_dir
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
@@ -414,8 +429,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
     """
     if cfg.problem is None or cfg.algo is None or cfg.run is None:
         raise ConfigError("run_experiment needs problem, algo, and run sections")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(out_dir)
     master_seed = cfg.run.master_seed if seed is None else seed
     name = run_name or f"{Path(cfg.source).stem or 'run'}-seed{master_seed}"
     metrics_path = out_dir / f"{name}.metrics.jsonl"
@@ -529,8 +543,7 @@ def verify_suite(cfg: ExperimentConfig | None, out_dir, quiet: bool = True,
                  seed: int | None = None):
     """Run every theorem check; write verdicts JSONL; return (path, all_passed).
     ``seed`` overrides ``run.master_seed`` (default 0)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(out_dir)
     master_seed = seed
     if master_seed is None:
         master_seed = cfg.run.master_seed if cfg is not None and cfg.run is not None else 0

@@ -6,8 +6,10 @@ stack entry. A federated round calls them once per local step for all its
 participants (once per batch length, so a ragged tail batch adds one call),
 K times per round instead of K*m, and they dominate experiment runtime. Each
 stack entry computes exactly what the 2-D call on that entry computes, bit for
-bit. Losses returned here are the data term only; L2 decay is added by the
-objective layer on the full parameter vector.
+bit. Elementwise steps work in place on the fresh arrays the matmuls return,
+in the same order as the plain expressions, so the bits are theirs and no
+input is modified. Losses returned here are the data term only; L2 decay is
+added by the objective layer on the full parameter vector.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ BACKEND = "numpy"  # the only kernel backend; reported by benchmark runs
 
 
 def _softmax_rows(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    """Softmax over the last axis, computed in ``z``'s buffer (a fresh array)."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _xent_residual(p, y):
@@ -44,7 +47,9 @@ def logistic_value_grad(X, y, W, b):
     2-D ``X`` and an array over the stack axes otherwise. A fully-underflowed
     true-class probability yields an infinite loss (divergent iterates).
     """
-    p = _softmax_rows(X @ W + b[..., None, :])
+    z = X @ W
+    z += b[..., None, :]
+    p = _softmax_rows(z)
     loss = _xent_residual(p, y)
     return loss, X.swapaxes(-1, -2) @ p, p.sum(axis=-2)
 
@@ -56,12 +61,20 @@ def mlp_value_grad(X, y, W1, b1, W2, b2):
     :func:`logistic_value_grad`. A fully-underflowed true-class probability
     yields an infinite loss (divergent iterates).
     """
-    a = np.tanh(X @ W1 + b1[..., None, :])
-    p = _softmax_rows(a @ W2 + b2[..., None, :])
+    a = X @ W1
+    a += b1[..., None, :]
+    np.tanh(a, out=a)
+    z = a @ W2
+    z += b2[..., None, :]
+    p = _softmax_rows(z)
     loss = _xent_residual(p, y)
     gW2 = a.swapaxes(-1, -2) @ p
     gb2 = p.sum(axis=-2)
-    dh = (p @ W2.swapaxes(-1, -2)) * (1.0 - a * a)
+    dh = p @ W2.swapaxes(-1, -2)
+    # 1 - a*a, formed in a's buffer now that gW2 no longer needs a
+    np.multiply(a, a, out=a)
+    np.subtract(1.0, a, out=a)
+    dh *= a
     return loss, X.swapaxes(-1, -2) @ dh, dh.sum(axis=-2), gW2, gb2
 
 

@@ -2,8 +2,10 @@
 and probe-based smoothness estimates.
 
 r(x) is half the mean squared deviation of client gradients from their mean
-(half the trace of the client-gradient covariance). Its gradient is assembled
-from client Hessian-vector products applied to the per-client deviations:
+(half the trace of the client-gradient covariance). The value needs only the
+client gradients, so :func:`regularizer_value` computes no Hessian-vector
+product. The gradient is assembled from client Hessian-vector products
+applied to the per-client deviations:
 
     grad_r(x) = mean_i hvp_i(x, d_i) - mean_hvp(x, mean_i d_i),   d_i = g_i - gbar
 
@@ -25,6 +27,7 @@ __all__ = [
     "RegularizerReport",
     "SmoothnessEstimate",
     "regularizer_report",
+    "regularizer_value",
     "surrogate_value",
     "surrogate_grad",
     "estimate_smoothness_constants",
@@ -39,18 +42,29 @@ class RegularizerReport:
     method: str  # analytic | hvp_assembled | fd_of_r
 
 
-def regularizer_report(problem: FederatedProblem, x: np.ndarray,
-                       method: str = "auto") -> RegularizerReport:
-    """Evaluate r(x), per-client deviation norms, and grad r(x)."""
-    grads = problem.client_grads(x)
+def _deviations(grads):
+    """Deviations of client gradients from their mean, their norms, and r."""
     gbar = mean_reduce(grads)
     devs = [g - gbar for g in grads]
     dev_norms = np.array([float(np.linalg.norm(d)) for d in devs])
     r_value = 0.0
     for dn in dev_norms:
         r_value += dn * dn
-    r_value /= 2.0 * problem.n
+    r_value /= 2.0 * len(grads)
+    return devs, dev_norms, r_value
 
+
+def regularizer_value(grads) -> float:
+    """r from the client gradients ``grads`` (an iterable of equal-length
+    vectors, in client order); bit-equal to the ``r_value`` of
+    :func:`regularizer_report` at the point they were taken."""
+    return _deviations(list(grads))[2]
+
+
+def regularizer_report(problem: FederatedProblem, x: np.ndarray,
+                       method: str = "auto") -> RegularizerReport:
+    """Evaluate r(x), per-client deviation norms, and grad r(x)."""
+    devs, dev_norms, r_value = _deviations(problem.client_grads(x))
     if method == "fd_of_r":
         grad_r = _fd_grad_of_r(problem, x)
         used = "fd_of_r"
@@ -70,8 +84,8 @@ def _fd_grad_of_r(problem, x, rel_step=None):
     e = np.zeros_like(x)
     for j in range(x.shape[0]):
         e[j] = eps
-        up = regularizer_report(problem, x + e, method="auto").r_value
-        dn = regularizer_report(problem, x - e, method="auto").r_value
+        up = regularizer_value(problem.client_grads(x + e))
+        dn = regularizer_value(problem.client_grads(x - e))
         g[j] = (up - dn) / (2.0 * eps)
         e[j] = 0.0
     return g
@@ -83,7 +97,7 @@ def surrogate_value(problem: FederatedProblem, x: np.ndarray, lam: float) -> flo
         raise UsageError("regularization weight must be >= 0")
     if lam == 0:
         return problem.value(x)
-    return problem.value(x) + lam * regularizer_report(problem, x).r_value
+    return problem.value(x) + lam * regularizer_value(problem.client_grads(x))
 
 
 def surrogate_grad(problem: FederatedProblem, x: np.ndarray, lam: float) -> np.ndarray:

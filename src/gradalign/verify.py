@@ -41,7 +41,11 @@ from .objectives import (
     make_supervised_client,
 )
 from .params import SeededStream, mean_reduce
-from .regularizer import estimate_smoothness_constants, regularizer_report
+from .regularizer import (
+    estimate_smoothness_constants,
+    regularizer_report,
+    regularizer_value,
+)
 
 __all__ = [
     "TheoremVerdict",
@@ -429,8 +433,7 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
         beta_t = min(beta_policy, bound / safety) if math.isfinite(bound) else beta_policy
         f0 = problem.value(x) + beta_t * rep.r_value
         x1 = gradalign_round(problem, x, alpha, beta_t, round_index=t).server_params
-        rep1 = regularizer_report(problem, x1)
-        f1 = problem.value(x1) + beta_t * rep1.r_value
+        f1 = problem.value(x1) + beta_t * regularizer_value(problem.client_grads(x1))
         trace.f_hat_before.append(f0)
         trace.f_hat_after.append(f1)
         trace.beta_used.append(beta_t)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,38 @@ def test_data_layer_config_error_exit_2(tmp_path, capsys):
         for command in commands:
             assert main([command, str(cfg), "--out", str(tmp_path / command), "--quiet"]) == 2
             assert "config error:" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("case", ["config_not_utf8", "config_is_dir", "data_path_is_dir",
+                                  "csv_not_utf8", "run_out_is_file", "gen_data_out_below_file"])
+def test_io_error_exit_2_without_traceback(tmp_path, case):
+    good = write(tmp_path, RUN_CFG)
+    (tmp_path / "bad.cfg").write_bytes(b"problem.kind = \xff\xfe blobs\n")
+    (tmp_path / "bad.csv").write_bytes(b"0,1.0\n1,\xff\n")
+    (tmp_path / "a_file").write_text("")
+    data = {"data_path_is_dir": tmp_path, "csv_not_utf8": tmp_path / "bad.csv"}.get(case)
+    csv_cfg = write(tmp_path, with_values(RUN_CFG, "problem.kind = csv",
+                                          f"problem.path = {data}"), "csv.cfg")
+    argv = {
+        "config_not_utf8": ["run", str(tmp_path / "bad.cfg")],
+        "config_is_dir": ["verify", str(tmp_path)],
+        "data_path_is_dir": ["run", str(csv_cfg)],
+        "csv_not_utf8": ["run", str(csv_cfg)],
+        "run_out_is_file": ["run", str(good), "--out", str(tmp_path / "a_file")],
+        "gen_data_out_below_file": ["gen-data", str(good), "--out", str(tmp_path / "a_file" / "g")],
+    }[case]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "gradalign.cli", *argv, "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("lines", [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalign.datagen import (
     Dataset,
@@ -64,6 +66,24 @@ def test_partition_disjoint_cover(seed, mode, n_clients, cpc):
     allidx = np.concatenate(part.assignment)
     assert len(allidx) == ds.n
     assert np.array_equal(np.sort(allidx), np.arange(ds.n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(["iid", "label_shard"]), classes=st.integers(1, 5),
+       per_class=st.integers(1, 12), n_clients=st.integers(1, 12), cpc=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_partition_is_a_disjoint_cover_or_a_config_error(mode, classes, per_class, n_clients,
+                                                         cpc, seed):
+    stream = SeededStream(seed)
+    ds = gen_blobs(classes, per_class, 2, 3.0, stream.derive("data", 0))
+    try:
+        part = partition(ds, n_clients, mode, stream.derive("part", 0), cpc)
+    except ConfigError:
+        return  # infeasible sizes are refused, never split into a wrong cover
+    assert len(part.assignment) == n_clients
+    assert all(a.shape[0] > 0 for a in part.assignment)
+    allidx = np.concatenate(part.assignment)
+    assert np.array_equal(np.sort(allidx), np.arange(ds.n))  # disjoint and covering
 
 
 def test_partition_iid_sizes_differ_by_at_most_one(stream):
@@ -170,6 +190,19 @@ def test_schedule_epoch_is_permutation(n, b, stream):
     n_batches = -(-n // b)
     got = np.concatenate(sched.take(n_batches))
     assert np.array_equal(np.sort(got), np.arange(n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), b=st.integers(1, 45), epochs=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_schedule_emits_each_index_once_per_epoch(n, b, epochs, seed):
+    per_epoch = -(-n // b)
+    batches = MinibatchSchedule(n, b, SeededStream(seed)).take(epochs * per_epoch)
+    for e in range(epochs):
+        epoch = batches[e * per_epoch:(e + 1) * per_epoch]
+        # full batches, then one short tail batch when b does not divide n
+        assert [len(x) for x in epoch] == [b] * (per_epoch - 1) + [n - b * (per_epoch - 1)]
+        assert np.array_equal(np.sort(np.concatenate(epoch)), np.arange(n))
 
 
 def test_schedule_reshuffles_across_epochs(stream):

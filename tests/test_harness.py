@@ -3,13 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalign import harness
 from gradalign.algorithms import run_gd_sequence
 from gradalign.errors import ConfigError, DivergenceError
 from gradalign.harness import (
     METRICS_FIELDS,
+    ProblemSpec,
     build_problem,
+    evaluate,
     initial_params,
     parse_config,
     read_checkpoint,
@@ -226,6 +230,47 @@ def test_grad_var_matches_regularizer(tmp_path):
     inst = build_problem(cfg.problem, root.derive("data", 0))
     rep = regularizer_report(inst.problem, final)
     assert recs[-1]["grad_var"] == pytest.approx(2 * rep.r_value, rel=1e-12)
+
+
+def reference_evaluate(inst, x, participants):
+    """``evaluate`` as first written: r from a report on the participants'
+    subproblem, and the client-0 deviation from two more gradient calls."""
+    ref = inst.problem.clients[0]
+    train_loss, train_acc = harness._loss_acc(ref, x, inst.train_features, inst.train_labels,
+                                              inst.l2)
+    test_loss, test_acc = harness._loss_acc(ref, x, inst.test_features, inst.test_labels,
+                                            inst.l2)
+    rep = regularizer_report(inst.problem.subset(participants), x)
+    dev0 = float(np.linalg.norm(inst.problem.grad(x) - inst.problem.clients[0].grad(x)))
+    return {
+        "train_loss": train_loss,
+        "train_acc": train_acc,
+        "test_loss": test_loss,
+        "test_acc": test_acc,
+        "grad_var": 2.0 * rep.r_value,
+        "dev_client0": dev0,
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), mode=st.sampled_from(["iid", "label_shard"]),
+       classes=st.integers(2, 4), per_class=st.integers(10, 17), clients=st.integers(1, 6),
+       extra_shards=st.integers(0, 1), hidden=st.integers(1, 5),
+       l2=st.sampled_from([0.0, 0.01]), scale=st.sampled_from([0.1, 1.0]), data=st.data())
+def test_evaluate_is_bitwise_the_reference(model, mode, classes, per_class, clients,
+                                           extra_shards, hidden, l2, scale, data):
+    # label shards: enough per client to cover every class, sometimes one
+    # more, so shard and client sizes are uneven
+    spec = ProblemSpec(kind="blobs", clients=clients, classes=classes, per_class=per_class,
+                       dim=3, sep=3.0, partition=mode,
+                       classes_per_client=-(-classes // clients) + extra_shards,
+                       model=model, hidden=hidden, l2=l2)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    inst = build_problem(spec, SeededStream(seed))
+    participants = sorted(data.draw(st.sets(st.integers(0, clients - 1), min_size=1),
+                                    label="participants"))
+    x = scale * np.random.default_rng(seed).standard_normal(inst.problem.dim)
+    assert evaluate(inst, x, participants) == reference_evaluate(inst, x, participants)
 
 
 def test_divergence_preserves_partial_metrics(tmp_path):

@@ -5,6 +5,7 @@ from gradalign.objectives import FederatedProblem, QuadraticClient
 from gradalign.regularizer import (
     estimate_smoothness_constants,
     regularizer_report,
+    regularizer_value,
     surrogate_grad,
     surrogate_value,
 )
@@ -43,6 +44,18 @@ def test_r_value_consistent_with_devs(quad3):
     recon = float((rep.per_client_dev ** 2).sum()) / (2 * quad3.n)
     assert rep.r_value == pytest.approx(recon, rel=1e-12)
     assert (rep.r_value == 0.0) == bool((rep.per_client_dev == 0).all())
+
+
+@pytest.mark.parametrize("fixture", ["pair_1d", "quad3", "dyadic_problem",
+                                     "logistic_problem", "mlp_problem"])
+def test_regularizer_value_is_bitwise_the_report(fixture, request):
+    prob = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        x = rng.standard_normal(prob.dim)
+        r = regularizer_report(prob, x).r_value
+        assert regularizer_value(prob.client_grads(x)) == r
+        assert regularizer_value(iter(prob.client_grads(x))) == r
 
 
 def test_surrogate_value_identities(pair_1d):
