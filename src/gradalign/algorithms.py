@@ -19,10 +19,14 @@ second communication) and where it adds the displacement ``-beta*v_i``. The
 schedule, beta and mu use; the harness and ``AlgoConfig.validate`` read it.
 
 The engine runs the m participants in lockstep, as the algorithms allow: their
-iterates are the rows of one ``(m, dim)`` array, each schedule's K batches are
-drawn at round start, and each local step is one stacked gradient call
-(:meth:`FederatedProblem.stacked_grads`) followed by vectorised displacement,
-control-variate, proximal and update terms and one fused divergence guard.
+iterates are the rows of one ``(m, dim)`` array. Each round's batches are drawn
+and gathered once, at round start: every schedule slices its K batches from
+its epoch permutations (``take(K)``), and :meth:`FederatedProblem.gather`
+takes the data of all K steps and m participants from the data pool, one
+``take`` per group. Each local step is then one stacked gradient call on its
+slice (:meth:`FederatedProblem.gathered_grads`) followed by vectorised
+displacement, control-variate, proximal and update terms and one fused
+divergence guard.
 Every row is bit-equal to the participant run alone. A divergence reports the
 earliest step and, at that step, the lowest participant.
 """
@@ -180,7 +184,8 @@ def run_surrogate_gd_sequence(objectives_or_problem, x0, alpha, K, round_index=N
     x = x0
     half_alpha = alpha / 2.0
     for t in range(K):
-        g = problem.grad(x) + half_alpha * regularizer_report(problem, x).grad_r
+        G = problem.client_grads(x)
+        g = mean_reduce(G) + half_alpha * regularizer_report(problem, x, grads=G).grad_r
         x = axpy(-alpha, g, x)
         _guard(x, "surrogate_gd", round_index, t)
     return x
@@ -270,11 +275,12 @@ def _local_round(spec: _Variant, name, problem, x, alpha, beta, K, scheds, part,
         norms = np.array([scale * float(np.linalg.norm(v)) for v in V])
     shift = spec.displace if beta != 0.0 else None
     batches = [s.take(K) if s is not None else [None] * K for s in scheds]
+    data = problem.gather(part, list(zip(*batches)))
 
     Y = axpy(-beta, V, X0) if shift == "start" else X0
     for k in range(K):
         point = axpy(-beta, V, Y) if shift == "step" else Y
-        G = problem.stacked_grads(part, point, [b[k] for b in batches])
+        G = problem.gathered_grads(part, point, data[k])
         if spec.anchor and not spec.displace:
             G = (G - G0) + gbar
         if mu != 0.0:

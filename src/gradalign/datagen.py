@@ -210,10 +210,13 @@ def load_csv(path) -> Dataset:
 class MinibatchSchedule:
     """Without-replacement batches over one client's examples.
 
-    Each epoch is a fresh permutation from the schedule's stream; within an
-    epoch every local index appears in exactly one emitted batch (the tail
-    batch may be short). ``batch_size=None`` means full-batch: the schedule
-    emits ``None`` and the objective uses all its data.
+    Each epoch is a fresh permutation from the schedule's stream
+    (``stream.derive("epoch", e)``, drawn by re-keying one shared generator);
+    within an epoch every local index appears in exactly one emitted batch (the
+    tail batch may be short, and no batch spans two epochs). ``take(k)`` slices
+    its k batches straight from the permutations, and ``next_batch`` is its
+    k = 1 case. ``batch_size=None`` means full-batch: the schedule emits
+    ``None`` and the objective uses all its data.
     """
 
     def __init__(self, n_examples: int | None, batch_size: int | None, stream: SeededStream):
@@ -228,22 +231,26 @@ class MinibatchSchedule:
         self._epoch = 0
         self._pos = 0
         self._perm = None
+        self._draw = stream.child_draws("epoch") if batch_size is not None else None
 
     def _next_epoch(self):
-        rng = self.stream.derive("epoch", self._epoch).generator()
-        self._perm = rng.permutation(self.n_examples).astype(np.int64)
+        self._perm = self._draw(self._epoch).permutation(self.n_examples).astype(np.int64)
         self._epoch += 1
         self._pos = 0
 
     def next_batch(self):
-        if self.batch_size is None:
-            return None
-        if self._perm is None or self._pos >= self.n_examples:
-            self._next_epoch()
-        hi = min(self._pos + self.batch_size, self.n_examples)
-        batch = self._perm[self._pos:hi]
-        self._pos = hi
-        return batch
+        return self.take(1)[0]
 
     def take(self, k: int):
-        return [self.next_batch() for _ in range(k)]
+        """The next ``k`` batches, in order."""
+        if self.batch_size is None:
+            return [None] * k
+        n, size = self.n_examples, self.batch_size
+        batches = []
+        while len(batches) < k:
+            if self._perm is None or self._pos >= n:
+                self._next_epoch()
+            stop = min(n, self._pos + (k - len(batches)) * size)
+            batches.extend(self._perm[lo:lo + size] for lo in range(self._pos, stop, size))
+            self._pos = stop
+        return batches

@@ -263,9 +263,12 @@ class FederatedProblem:
     The mean gradient is always assembled with :func:`mean_reduce` over
     ascending client index; every algorithm and check shares this one path so
     coupled comparisons stay bit-reproducible. All client gradients go through
-    :meth:`stacked_grads`, which gathers each call's batches from one pool of
-    every client's examples and keeps the full-data stack of the last client
-    set it saw, so repeated full-batch calls stack the data once.
+    one gather and one compute step. :meth:`gather` takes the batches of any
+    number of steps from one pool of every client's examples, one ``take`` per
+    group, and keeps the full-data stacks it used, so repeated full-batch calls
+    stack the data once; :meth:`gathered_grads` runs one step's kernel calls.
+    A round gathers all its local steps at once, and :meth:`stacked_grads` is
+    the one-step case.
     """
 
     def __init__(self, clients):
@@ -280,8 +283,13 @@ class FederatedProblem:
             raise DimensionError(f"clients disagree on input width: {sorted(widths)}")
         self.clients = clients
         self.dim = clients[0].dim
+        # supervised clients of one kind (kernel, shapes, l2) share stacked calls
+        kinds = {}
+        self._kinds = [None if c.data_size is None else
+                       kinds.setdefault((c._kernel, c._shapes, c.l2_decay), len(kinds))
+                       for c in clients]
         self._pool = None  # every client's examples in one array, built on first use
-        self._full_stack = (None, None, None)
+        self._full_stacks = {}  # client tuple -> full-data (X, y) of the last gather that used one
 
     @property
     def n(self) -> int:
@@ -299,28 +307,90 @@ class FederatedProblem:
         ``[0, data_size)``, or None for all of them. Returns (m, dim).
 
         Row j is bit-equal to ``clients[idx[j]].stoch_grad(Y[j], batches[j])``.
-        Supervised clients take one stacked kernel call per group of equal
-        batch length (grouping, not padding, keeps each row's reduction
-        length); data-free clients are evaluated row by row. A non-finite
-        gradient raises NumericError naming the lowest such client.
+        This is the one-step case of :meth:`gather` then :meth:`gathered_grads`.
         """
+        return self.gathered_grads(idx, Y, self.gather(idx, [batches])[0])
+
+    def gather(self, idx, steps):
+        """Data of clients ``idx`` for a sequence of steps, gathered at once.
+
+        ``steps[k][j]`` is client ``idx[j]``'s batch at step k, as in
+        :meth:`stacked_grads`. Returns one entry per step for
+        :meth:`gathered_grads`. Supervised rows are grouped by kernel, shapes,
+        l2 and batch length (grouping, not padding, keeps each row's reduction
+        length); each group takes the batches of all its steps from the data
+        pool with one ``take``, step-major, so a step's rows are one contiguous
+        slice of it. A step whose group rows all use their full data reuses the
+        kept full-data stack of those clients instead. Data-free rows keep
+        their batch for a row-by-row call.
+        """
+        clients, kinds = self.clients, self._kinds
+        plans = [([], []) for _ in steps]  # per step: data-free (row, batch), kernel parts
+        pending = {}  # group key -> [(step, rows)] for one take
+        full = {}
+        for k, batches in enumerate(steps):
+            groups = {}
+            for row, (i, batch) in enumerate(zip(idx, batches)):
+                kind = kinds[i]
+                if kind is None:
+                    plans[k][0].append((row, batch))
+                    continue
+                n = clients[i].data_size if batch is None else len(batch)
+                groups.setdefault((kind, n), []).append(row)
+            for key, rows in groups.items():
+                if any(batches[r] is not None for r in rows):
+                    pending.setdefault(key, []).append((k, rows))
+                    continue
+                members = tuple(int(idx[r]) for r in rows)
+                if members not in full:
+                    full[members] = (self._full_stacks.get(members)
+                                     or self._take(members, [None] * len(rows)))
+                plans[k][1].append((rows, *full[members]))
+        if full:
+            self._full_stacks = full
+        for entries in pending.values():
+            X, y = self._take([int(idx[r]) for _, rows in entries for r in rows],
+                              [steps[k][r] for k, rows in entries for r in rows])
+            lo = 0
+            for k, rows in entries:
+                hi = lo + len(rows)
+                plans[k][1].append((rows, X[lo:hi], y[lo:hi]))
+                lo = hi
+        return plans
+
+    def _take(self, members, batches):
+        """Stacked (X, y) of ``batches`` (None: all examples) of clients
+        ``members``, gathered from the pool of every client's examples in one
+        take."""
+        if self._pool is None:
+            data = [c for c in self.clients if c.data_size is not None]
+            starts = np.cumsum([0] + [c.data_size or 0 for c in self.clients])
+            self._pool = (np.concatenate([c.features for c in data]),
+                          np.concatenate([c.labels for c in data]), starts)
+        pool_X, pool_y, starts = self._pool
+        take = np.concatenate([np.arange(self.clients[i].data_size) if b is None else b
+                               for i, b in zip(members, batches)]).reshape(len(members), -1)
+        take += starts[list(members)][:, None]
+        return pool_X.take(take, axis=0), pool_y.take(take)
+
+    def gathered_grads(self, idx, Y, plan) -> np.ndarray:
+        """Gradients of clients ``idx`` at the rows of ``Y`` (m, dim) on one
+        step's data from :meth:`gather`: one stacked kernel call per group,
+        then L2, then one fused finite check. A non-finite gradient raises
+        NumericError naming the lowest such client.
+        """
+        free, parts = plan
         G = np.empty(Y.shape)
-        groups = {}
-        for row, (i, batch) in enumerate(zip(idx, batches)):
-            c = self.clients[i]
-            if c.data_size is None:
-                G[row] = c.stoch_grad(Y[row], batch)
-                continue
-            n = c.data_size if batch is None else len(batch)
-            groups.setdefault((c._kernel, c._shapes, c.l2_decay, n), []).append(row)
+        for row, batch in free:
+            G[row] = self.clients[idx[row]].stoch_grad(Y[row], batch)
         # overflow here shows up as a non-finite gradient, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            for (_, _, l2, _), rows in groups.items():
+            for rows, X, y in parts:
                 sel = slice(None) if len(rows) == len(G) else rows
-                X, y = self._stack(idx, rows, batches)
-                g = self.clients[idx[rows[0]]]._data_grad(X, y, Y[sel])
-                if l2:
-                    g += l2 * Y[sel]
+                c = self.clients[idx[rows[0]]]
+                g = c._data_grad(X, y, Y[sel])
+                if c.l2_decay:
+                    g += c.l2_decay * Y[sel]
                 G[sel] = g
         finite = np.isfinite(G)
         if not finite.all():
@@ -328,27 +398,6 @@ class FederatedProblem:
             raise NumericError(
                 f"non-finite gradient from client {self.clients[idx[row]].client_id!r}")
         return G
-
-    def _stack(self, idx, rows, batches):
-        """Stacked (X, y) batches of clients ``idx[rows]``, gathered from the
-        data pool in one take; a full-data stack is kept for the next call."""
-        key = tuple(int(idx[r]) for r in rows)
-        full = all(batches[r] is None for r in rows)
-        if full and self._full_stack[0] == key:
-            return self._full_stack[1:]
-        if self._pool is None:
-            data = [c for c in self.clients if c.data_size is not None]
-            starts = np.cumsum([0] + [c.data_size or 0 for c in self.clients])
-            self._pool = (np.concatenate([c.features for c in data]),
-                          np.concatenate([c.labels for c in data]), starts)
-        pool_X, pool_y, starts = self._pool
-        take = np.stack([np.arange(self.clients[i].data_size) if batches[r] is None
-                         else batches[r] for i, r in zip(key, rows)])
-        take += starts[list(key)][:, None]
-        X, y = pool_X.take(take, axis=0), pool_y.take(take)
-        if full:
-            self._full_stack = (key, X, y)
-        return X, y
 
     def client_grads(self, x):
         n = self.n

@@ -8,8 +8,9 @@ bit-level guarantees the algorithm and harness tests rely on:
   independent of how many workers produced the inputs, and the mean of n
   identical vectors is bit-equal to that vector.
 * ``SeededStream`` derives child streams as a pure function of
-  (master_seed, lineage) via a counter-based generator, so any two runs (or
-  thread schedules) that ask for the same stream get the same samples.
+  (master_seed, lineage) via a counter-based generator, so any two runs that
+  ask for the same stream get the same samples. ``child_draws`` gives the
+  same samples for a family of child streams by re-keying one generator.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ def mean_reduce(vs) -> np.ndarray:
     """Arithmetic mean of equal-length vectors in fixed ascending order.
 
     Computed as ``vs[0] + mean(vs[i] - vs[0])`` so the mean of n copies of a
-    vector is that vector exactly. Parallel callers write results into their
-    own slots; this reduction itself is always serial.
+    vector is that vector exactly: the sum of differences starts at -0.0 and
+    subtracts ``vs[0] - vs[i]``, so an all-zero sum stays -0.0, whose addition
+    leaves every value unchanged, -0.0 included. Parallel callers write results
+    into their own slots; this reduction itself is always serial.
     """
     vs = list(vs)
     if not vs:
@@ -58,12 +61,42 @@ def mean_reduce(vs) -> np.ndarray:
     first = vs[0]
     if len(vs) == 1:
         return first.copy()
-    acc = np.zeros_like(first)
+    acc = np.full_like(first, -0.0)
     for v in vs[1:]:
         if v.shape != first.shape:
             raise DimensionError(f"mean_reduce length mismatch: {v.shape} vs {first.shape}")
-        acc += v - first
+        acc -= first - v
     return first + acc / len(vs)
+
+
+def _address(h, label: str, index: int) -> None:
+    """Feed one (label, index) lineage step into the blake2b hasher ``h``."""
+    h.update(label.encode("utf-8"))
+    h.update(b"\x00")
+    h.update((int(index) & _U64).to_bytes(8, "little"))
+    h.update(b"\x01")
+
+
+# One Philox for every keyed draw in the process, and the state of a fresh one
+# (zero counter, empty output buffer). The whole state is set before each draw,
+# so no draw depends on an earlier one; the package is single-threaded.
+_KEYED = np.random.Generator(np.random.Philox(0))
+_FRESH = _KEYED.bit_generator.state
+
+
+def _keyed_generator(key: int) -> np.random.Generator:
+    """The shared generator re-keyed to ``key``; its draws equal those of
+    ``Generator(Philox(key=key))``. Valid until the next keyed draw.
+
+    Philox is counter-based, so its output is a pure function of the 128-bit
+    key and the counter. This is the one place that knows numpy's layout of
+    that state: the key is two uint64 words, low word first.
+    """
+    words = _FRESH["state"]["key"]
+    words[0] = key & _U64
+    words[1] = key >> 64
+    _KEYED.bit_generator.state = _FRESH
+    return _KEYED
 
 
 @dataclass(frozen=True)
@@ -81,19 +114,33 @@ class SeededStream:
     def derive(self, label: str, index: int) -> "SeededStream":
         return SeededStream(self.master_seed, self.lineage + ((str(label), int(index)),))
 
-    def _key(self) -> int:
+    def _hasher(self):
         h = hashlib.blake2b(digest_size=16)
         h.update((int(self.master_seed) & _U64).to_bytes(8, "little"))
         for label, index in self.lineage:
-            h.update(label.encode("utf-8"))
-            h.update(b"\x00")
-            h.update((int(index) & _U64).to_bytes(8, "little"))
-            h.update(b"\x01")
-        return int.from_bytes(h.digest(), "little")
+            _address(h, label, index)
+        return h
+
+    def _key(self) -> int:
+        return int.from_bytes(self._hasher().digest(), "little")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; the caller owns its state."""
         return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def child_draws(self, label: str):
+        """Return ``draw(index)``, the generator of ``derive(label, index)``
+        without building one: the stream's hash prefix is kept, and each call
+        re-keys one shared Philox. Use each generator before the next call."""
+        prefix = self._hasher()
+        label = str(label)
+
+        def draw(index: int) -> np.random.Generator:
+            h = prefix.copy()
+            _address(h, label, index)
+            return _keyed_generator(int.from_bytes(h.digest(), "little"))
+
+        return draw
 
 
 def derive_stream(parent: SeededStream, label: str, index: int) -> SeededStream:

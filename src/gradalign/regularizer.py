@@ -62,9 +62,14 @@ def regularizer_value(grads) -> float:
 
 
 def regularizer_report(problem: FederatedProblem, x: np.ndarray,
-                       method: str = "auto") -> RegularizerReport:
-    """Evaluate r(x), per-client deviation norms, and grad r(x)."""
-    devs, dev_norms, r_value = _deviations(problem.client_grads(x))
+                       method: str = "auto", grads=None) -> RegularizerReport:
+    """Evaluate r(x), per-client deviation norms, and grad r(x).
+
+    ``grads`` may pass the client gradients at ``x`` the caller already holds
+    (``problem.client_grads(x)``); the report is then the same, bit for bit.
+    """
+    devs, dev_norms, r_value = _deviations(
+        problem.client_grads(x) if grads is None else list(grads))
     if method == "fd_of_r":
         grad_r = _fd_grad_of_r(problem, x)
         used = "fd_of_r"
@@ -103,8 +108,8 @@ def surrogate_value(problem: FederatedProblem, x: np.ndarray, lam: float) -> flo
 def surrogate_grad(problem: FederatedProblem, x: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise UsageError("regularization weight must be >= 0")
-    rep = regularizer_report(problem, x)
-    return problem.grad(x) + lam * rep.grad_r
+    G = problem.client_grads(x)
+    return mean_reduce(G) + lam * regularizer_report(problem, x, grads=G).grad_r
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,12 @@ def estimate_smoothness_constants(problem: FederatedProblem, region_center: np.n
         w = rng.standard_normal(d)
         dirs.append(w / max(np.linalg.norm(w), 1e-300))
 
-    grads = [problem.grad(p) for p in pts]
-    grad_rs = [regularizer_report(problem, p).grad_r for p in pts]
+    grads = []
+    grad_rs = []
+    for p in pts:
+        G = problem.client_grads(p)
+        grads.append(mean_reduce(G))
+        grad_rs.append(regularizer_report(problem, p, grads=G).grad_r)
     hvps = [[[c.hvp(p, w) for w in dirs] for c in problem.clients] for p in pts]
 
     L1 = L2 = rho = 0.0

@@ -420,10 +420,11 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
         )
     trace = DescentTrace()
     x = x0
+    G = problem.client_grads(x)
     increases = 0
     for t in range(steps):
-        rep = regularizer_report(problem, x)
-        gf = problem.grad(x)
+        rep = regularizer_report(problem, x, grads=G)
+        gf = mean_reduce(G)
         gfn = float(np.linalg.norm(gf))
         grn = float(np.linalg.norm(rep.grad_r))
         if gfn + grn <= 1e-9:
@@ -433,7 +434,8 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
         beta_t = min(beta_policy, bound / safety) if math.isfinite(bound) else beta_policy
         f0 = problem.value(x) + beta_t * rep.r_value
         x1 = gradalign_round(problem, x, alpha, beta_t, round_index=t).server_params
-        f1 = problem.value(x1) + beta_t * regularizer_value(problem.client_grads(x1))
+        G1 = problem.client_grads(x1)
+        f1 = problem.value(x1) + beta_t * regularizer_value(G1)
         trace.f_hat_before.append(f0)
         trace.f_hat_after.append(f1)
         trace.beta_used.append(beta_t)
@@ -443,7 +445,7 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
         trace.step_sq.append(float(np.linalg.norm(x1 - x)) ** 2)
         if not f1 < f0:
             increases += 1
-        x = x1
+        x, G = x1, G1
     passed = increases == 0
     notes = trace.notes or (
         f"{len(trace)} steps, {increases} non-decreasing; "

@@ -22,7 +22,7 @@ from gradalign.algorithms import (
 )
 from gradalign.datagen import MinibatchSchedule, gen_blobs, partition
 from gradalign.errors import ConfigError, DivergenceError, UsageError
-from gradalign.objectives import FederatedProblem, make_supervised_client
+from gradalign.objectives import FederatedProblem, make_quadratic_problem, make_supervised_client
 from gradalign.params import SeededStream, axpy, mean_reduce
 from gradalign.regularizer import regularizer_report
 
@@ -525,3 +525,34 @@ def test_lockstep_engine_is_bitwise_the_per_client_reference(
     assert [f.tobytes() for f in got.per_client_final] == [f.tobytes() for f in finals]
     assert got.displacement_norms.tobytes() == norms.tobytes()
 
+
+
+def _same_round(a, b):
+    assert a.server_params.tobytes() == b.server_params.tobytes()
+    assert len(a.per_client_final) == len(b.per_client_final)
+    for fa, fb in zip(a.per_client_final, b.per_client_final):
+        assert fa.tobytes() == fb.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 5), d=st.integers(1, 4),
+       spread=st.floats(0.0, 2.0), alpha=st.floats(1e-4, 0.3), K=st.integers(1, 5),
+       data=st.data())
+def test_lattice_identities_on_random_quadratics(seed, n, d, spread, alpha, K, data):
+    """The reduction lattice at random points, step sizes, K and participants."""
+    stream = SeededStream(seed)
+    prob = FederatedProblem(make_quadratic_problem(n, d, spread, stream.derive("problem", 0)))
+    x = stream.derive("x", 0).generator().standard_normal(d)
+    part = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    fedavg = fedavg_round(prob, x, alpha, K, participants=part)
+    _same_round(fedga_round(prob, x, alpha, 0.0, K, participants=part), fedavg)
+    _same_round(fedga_perstep_round(prob, x, alpha, 0.0, K, participants=part), fedavg)
+    _same_round(fedprox_round(prob, x, alpha, K, 0.0, participants=part), fedavg)
+    _same_round(gradalign_round(prob, x, alpha, 0.0, participants=part),
+                largebatch_gd_round(prob, x, alpha, participants=part))
+    # SCAFFOLD at K=1 is one GD step on the participants' mean objective
+    gd = run_gd_sequence([prob.clients[i] for i in sorted(part)], x, alpha, 1)
+    scaffold = scaffold_round(prob, x, alpha, 1, participants=part)
+    assert scaffold.server_params.tobytes() == gd.tobytes()
+    for f in scaffold.per_client_final:
+        assert f.tobytes() == gd.tobytes()

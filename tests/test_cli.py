@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradalign.algorithms import VARIANTS
 from gradalign.cli import main
 from gradalign.datagen import load_csv
+from gradalign.harness import _KEYS
 
 RUN_CFG = """
 problem.kind = blobs
@@ -224,3 +231,106 @@ def test_warning_printed_for_ignored_field(tmp_path, capsys):
     rc = main(["run", str(cfg), "--out", str(tmp_path / "w")])
     assert rc == 0
     assert "beta" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the error contract: every config ends in exit 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+# size keys stay tiny so that no example allocates much
+_SIZE_CAPS = {"problem.classes": 4, "problem.per_class": 12, "problem.dim": 3,
+              "problem.clients": 6, "problem.classes_per_client": 4, "problem.hidden": 4,
+              "algo.local_steps": 3, "run.rounds": 3, "run.clients_per_round": 6,
+              "run.eval_every": 3}
+_FLOATS = ("0", "-0.0", "0.1", "1", "3", "-1.5", "1e-300", "1e9", "1e308", "nan", "inf",
+           "-inf")
+_JUNK = ("", "abc", "1.5.2", "0x10", "--", "[1]", "é", "1 2", "full")
+
+
+def _any_value(key):
+    """Small ints, floats including nan, inf and negatives, and junk strings."""
+    cap = _SIZE_CAPS.get(key, 12)
+    return st.one_of(st.integers(-3, cap).map(str), st.sampled_from(_FLOATS),
+                     st.sampled_from(_JUNK))
+
+
+def _plausible(key, csv_path):
+    if key in _SIZE_CAPS:
+        return st.integers(3 if key == "problem.per_class" else 1, _SIZE_CAPS[key]).map(str)
+    if key == "run.master_seed":
+        return st.integers(-2**70, 2**70).map(str)
+    choices = {
+        "problem.kind": ["blobs", "blobs", "csv"],
+        "problem.path": [csv_path],
+        "problem.sep": ["0.5", "3", "6"],
+        "problem.partition": ["iid", "label_shard"],
+        "problem.model": ["logistic", "mlp"],
+        "problem.l2": ["0", "0.01"],
+        "algo.variant": list(VARIANTS),
+        "algo.alpha": ["1e9", "0.1", "0.5", "0.01"],
+        "algo.beta": ["0", "0.1", "0.5"],
+        "algo.mu": ["0", "0.2"],
+        "algo.batch": ["full", "1", "4", "12"],
+        "sweep.beta": ["0.1, 0.2"],
+        "sweep.mu": ["0, 0.3"],
+        "verify.sabotage": ["thm1"],
+    }
+    return st.sampled_from(choices[key])
+
+
+@st.composite
+def _fuzzed_config(draw, csv_path):
+    core = ["problem.kind", "problem.clients", "problem.classes", "problem.per_class",
+            "problem.dim", "problem.sep", "algo.variant", "algo.alpha", "run.rounds"]
+    others = sorted(set(_KEYS) - set(core))
+    values = {key: draw(_plausible(key, csv_path)) for key in core}
+    if values["problem.kind"] == "csv":
+        values["problem.path"] = csv_path
+    for key in draw(st.lists(st.sampled_from(others), unique=True, max_size=5)):
+        values[key] = draw(_plausible(key, csv_path))
+    rare = st.sampled_from([False, False, True, False, False])  # a fault in about one of five
+    if draw(rare):
+        for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), unique=True, min_size=1,
+                                 max_size=2)):
+            values[key] = draw(_any_value(key))
+    if draw(rare):
+        del values[draw(st.sampled_from(core))]
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    if draw(rare):
+        lines.append(draw(st.sampled_from(["algo.aplha = 1", "run = 3", "x.y = z", "no equals"])))
+    if draw(rare):
+        lines.append(draw(st.sampled_from(lines)))  # a duplicate key
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def _run_fuzzed(text, root):
+    """``gradalign run`` on config ``text``: (exit code, stderr)."""
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+def test_fuzzed_configs_end_in_a_documented_exit_code(tmp_path):
+    csv_path = tmp_path / "tiny.csv"
+    rng = np.random.default_rng(3)
+    csv_path.write_text("".join(f"{c},{rng.normal() + 3 * c:.6f},{rng.normal():.6f}\n"
+                                for c in range(3) for _ in range(10)), encoding="utf-8")
+
+    codes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=_fuzzed_config(str(csv_path)))
+    def check(text):
+        rc, err = _run_fuzzed(text, tmp_path)
+        assert rc in (0, 2, 3), (rc, err)
+        assert "Traceback" not in err
+        codes.add(rc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check()
+    assert codes == {0, 2, 3}  # the examples reach every ending

@@ -222,3 +222,39 @@ def test_schedule_deterministic(stream):
     a = np.concatenate(MinibatchSchedule(20, 6, stream).take(8))
     b = np.concatenate(MinibatchSchedule(20, 6, stream).take(8))
     assert np.array_equal(a, b)
+
+
+def reference_batches(n, b, stream, count):
+    """The first ``count`` batches of a schedule, one fresh generator per epoch."""
+    batches = []
+    epoch = 0
+    while len(batches) < count:
+        perm = stream.derive("epoch", epoch).generator().permutation(n)
+        epoch += 1
+        batches.extend(perm[lo:lo + b] for lo in range(0, n, b))
+    return batches[:count]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), b=st.one_of(st.none(), st.integers(1, 45)),
+       ops=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+       seed=st.integers(-2**63, 2**64))
+def test_take_is_next_batch_repeated(n, b, ops, seed):
+    """take(k) gives the k batches that k next_batch calls on a twin give, with
+    take and next_batch calls interleaved, across epoch ends and short tails;
+    both follow the fresh-generator reference."""
+    sched = MinibatchSchedule(n, b, SeededStream(seed))
+    twin = MinibatchSchedule(n, b, SeededStream(seed))
+    got, want = [], []
+    for k in ops:
+        chunk = sched.take(k) if k else [sched.next_batch()]
+        assert len(chunk) == max(k, 1)
+        got += chunk
+        want += [twin.next_batch() for _ in range(max(k, 1))]
+    if b is None:
+        assert got == want == [None] * len(got)
+        return
+    ref = reference_batches(n, b, SeededStream(seed), len(got))
+    for g, w, r in zip(got, want, ref):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w) and np.array_equal(g, r)

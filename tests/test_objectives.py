@@ -235,3 +235,29 @@ def test_stacked_grads_names_the_lowest_non_finite_client(quad3, logistic_proble
     Yq[2] = np.nan
     with pytest.raises(NumericError, match="from client 2"):
         quad3.stacked_grads([0, 1, 2], Yq, [None] * 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), sizes=st.lists(st.integers(1, 12), min_size=1,
+       max_size=4), batch=st.integers(1, 6), K=st.integers(1, 4),
+       full_steps=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**16))
+def test_round_gather_rows_are_bitwise_stoch_grad(model, sizes, batch, K, full_steps, seed):
+    """A K-step gather, then one compute call per step, gives every row's
+    stoch_grad; the steps on full data share one gathered stack."""
+    rng = np.random.default_rng(seed)
+    clients = [make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
+                                      model=model, hidden=4, l2_decay=0.1, client_id=i)
+               for i, n in enumerate(sizes)]
+    problem = FederatedProblem(clients)
+    idx = list(range(len(sizes)))
+    steps = [[None if full_steps[k] else rng.permutation(sizes[i])[:batch] for i in idx]
+             for k in range(K)]
+    plans = problem.gather(idx, steps)
+    assert len(plans) == K
+    for k in range(K):
+        Y = rng.standard_normal((len(idx), problem.dim))
+        G = problem.gathered_grads(idx, Y, plans[k])
+        for j, i in enumerate(idx):
+            assert G[j].tobytes() == clients[i].stoch_grad(Y[j], steps[k][j]).tobytes()
+    full_stacks = {id(X) for k in range(K) if full_steps[k] for _, X, _ in plans[k][1]}
+    assert len(full_stacks) <= len(set(sizes))

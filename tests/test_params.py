@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradalign.errors import DimensionError, NumericError, UsageError
 from gradalign.params import SeededStream, as_params, axpy, derive_stream, mean_reduce
@@ -111,3 +113,52 @@ def test_label_distinguishes_streams():
     a = s.derive("round", 1).generator().random(100)
     b = s.derive("client", 1).generator().random(100)
     assert not np.array_equal(a, b)
+
+
+_LINEAGE = st.lists(st.tuples(st.sampled_from(["round", "client", "epoch", "repeat", "x\u00e9"]),
+                              st.integers(-2**65, 2**65)), max_size=3).map(tuple)
+_SEED = st.one_of(st.integers(-2**70, 2**70), st.integers(2**63, 2**64 + 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=_SEED, lineage=_LINEAGE, n=st.integers(1, 5000),
+       epochs=st.lists(st.integers(0, 2**64 + 3), min_size=1, max_size=3),
+       other=st.tuples(_SEED, _LINEAGE))
+def test_keyed_draw_is_the_fresh_generator_permutation(seed, lineage, n, epochs, other):
+    stream = SeededStream(seed, lineage)
+    draw = stream.child_draws("epoch")
+    other_draw = SeededStream(*other).child_draws("order")
+    for e in epochs:
+        got = draw(e).permutation(n)
+        assert np.array_equal(got, stream.derive("epoch", e).generator().permutation(n))
+        # a draw of another family in between leaves nothing behind
+        other_draw(e).permutation(7)
+        assert np.array_equal(draw(e).permutation(n), got)
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False, width=64).filter(
+    lambda v: abs(v) < 1e300)
+_VECTOR = st.lists(st.one_of(_WIDE, st.sampled_from([0.0, -0.0, 5e-324, -1e300])),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(values=_VECTOR, n=st.integers(1, 16))
+def test_mean_reduce_of_copies_is_bitwise_the_vector(values, n):
+    v = np.array(values)
+    assert mean_reduce([v.copy() for _ in range(n)]).tobytes() == v.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 16).flatmap(
+    lambda n: st.lists(st.lists(_WIDE, min_size=3, max_size=3), min_size=n, max_size=n)))
+def test_mean_reduce_bits_do_not_depend_on_the_container(rows):
+    A = np.array(rows)
+    ref = mean_reduce([row.copy() for row in A]).tobytes()
+    assert mean_reduce(row for row in A).tobytes() == ref
+    assert mean_reduce(A).tobytes() == ref
+
+
+def test_mean_reduce_keeps_negative_zero():
+    v = np.array([-0.0, 0.0, -2.5])
+    assert mean_reduce([v, v.copy(), v.copy()]).tobytes() == v.tobytes()

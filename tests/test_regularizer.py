@@ -58,6 +58,21 @@ def test_regularizer_value_is_bitwise_the_report(fixture, request):
         assert regularizer_value(iter(prob.client_grads(x))) == r
 
 
+@pytest.mark.parametrize("fixture", ["pair_1d", "quad3", "dyadic_problem",
+                                     "logistic_problem", "mlp_problem"])
+def test_report_from_held_grads_is_bitwise_the_report(fixture, request):
+    prob = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        x = rng.standard_normal(prob.dim)
+        a = regularizer_report(prob, x)
+        for grads in (prob.client_grads(x), iter(prob.client_grads(x))):
+            b = regularizer_report(prob, x, grads=grads)
+            assert b.r_value == a.r_value and b.method == a.method
+            assert b.per_client_dev.tobytes() == a.per_client_dev.tobytes()
+            assert b.grad_r.tobytes() == a.grad_r.tobytes()
+
+
 def test_surrogate_value_identities(pair_1d):
     x = np.array([1.0])
     assert surrogate_value(pair_1d, x, 0.0) == pytest.approx(0.5)

@@ -1,11 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from gradalign.algorithms import run_gd_sequence
 from gradalign.errors import UsageError
-from gradalign.objectives import QuadraticClient
+from gradalign.objectives import FederatedProblem, QuadraticClient
 from gradalign.params import SeededStream
 from gradalign.regularizer import regularizer_report
 from gradalign.verify import (
@@ -354,3 +355,32 @@ def test_verdict_json_schema():
         assert list(d) == ["theorem_id", "fitted_slope", "expected_slope",
                            "tolerance", "passed", "residuals", "notes"]
         json.dumps(d)  # serializable
+
+
+def test_no_caller_takes_client_gradients_twice_at_a_point(monkeypatch):
+    """Each caller reuses the client gradients it holds: within one call of a
+    function, no two ``client_grads`` calls land on the same problem and point.
+    The caller is the nearest frame outside ``client_grads``, ``grad``,
+    ``regularizer_report`` and comprehensions."""
+    original = FederatedProblem.client_grads
+    plumbing = {"client_grads", "grad", "regularizer_report"}
+    frames = []  # kept alive so that frame ids stay unique
+    seen = set()
+    repeats = []
+
+    def counted(self, x):
+        f = sys._getframe(1)
+        while f.f_code.co_name.startswith("<") or (
+                f.f_code.co_name in plumbing and "gradalign" in f.f_code.co_filename):
+            f = f.f_back
+        frames.append(f)
+        key = (id(f), id(self), x.tobytes())
+        if key in seen:
+            repeats.append(f.f_code.co_name)
+        seen.add(key)
+        return original(self, x)
+
+    monkeypatch.setattr(FederatedProblem, "client_grads", counted)
+    run_all_checks(master_seed=0)
+    assert len(frames) > 100
+    assert repeats == []
