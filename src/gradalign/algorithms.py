@@ -26,7 +26,11 @@ takes the data of all K steps and m participants from the data pool, one
 ``take`` per group. Each local step is then one stacked gradient call on its
 slice (:meth:`FederatedProblem.gathered_grads`) followed by vectorised
 displacement, control-variate, proximal and update terms and one fused
-divergence guard.
+divergence guard. The anchor ``grad_i(x)`` comes from
+:meth:`FederatedProblem.full_grads`, which holds the full-data gradients of
+the last point it saw, so a round that starts where the last evaluation was
+made computes none. An undisplaced step 0 on full batches is at ``x`` on the
+same data as the anchor, so it takes the anchor's rows and is not gathered.
 Every row is bit-equal to the participant run alone. A divergence reports the
 earliest step and, at that step, the lowest participant.
 """
@@ -268,19 +272,22 @@ def _local_round(spec: _Variant, name, problem, x, alpha, beta, K, scheds, part,
     X0 = np.broadcast_to(x, (m,) + x.shape)
     norms = np.zeros(m)
     if spec.anchor:
-        G0 = problem.stacked_grads(part, X0, [None] * m)
+        G0 = problem.full_grads(part, x)
         gbar = mean_reduce(G0)
         V = gbar - G0
         scale = abs(beta) if spec.displace else alpha
         norms = np.array([scale * float(np.linalg.norm(v)) for v in V])
     shift = spec.displace if beta != 0.0 else None
     batches = [s.take(K) if s is not None else [None] * K for s in scheds]
-    data = problem.gather(part, list(zip(*batches)))
+    steps = list(zip(*batches))
+    # an undisplaced full-batch step 0 is at x on full data: its gradients are the anchor
+    reuse = int(spec.anchor and shift is None and all(b is None for b in steps[0]))
+    data = problem.gather(part, steps[reuse:])
 
     Y = axpy(-beta, V, X0) if shift == "start" else X0
     for k in range(K):
         point = axpy(-beta, V, Y) if shift == "step" else Y
-        G = problem.gathered_grads(part, point, data[k])
+        G = G0 if k < reuse else problem.gathered_grads(part, point, data[k - reuse])
         if spec.anchor and not spec.displace:
             G = (G - G0) + gbar
         if mu != 0.0:

@@ -234,7 +234,8 @@ class MinibatchSchedule:
         self._draw = stream.child_draws("epoch") if batch_size is not None else None
 
     def _next_epoch(self):
-        self._perm = self._draw(self._epoch).permutation(self.n_examples).astype(np.int64)
+        self._perm = self._draw(self._epoch).permutation(self.n_examples).astype(
+            np.int64, copy=False)
         self._epoch += 1
         self._pos = 0
 

@@ -378,7 +378,9 @@ def initial_params(inst: ProblemInstance, spec: ProblemSpec, stream: SeededStrea
 def _loss_acc(client, x, X, y, l2):
     z = client.logits(x, X)
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    e = z - zmax
+    np.exp(e, out=e)
+    lse = zmax[:, 0] + np.log(e.sum(axis=1))
     rows = np.arange(X.shape[0])
     loss = float((lse - z[rows, y]).mean()) + 0.5 * l2 * float(x @ x)
     acc = float((np.argmax(z, axis=1) == y).mean())

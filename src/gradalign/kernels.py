@@ -6,10 +6,11 @@ stack entry. A federated round calls them once per local step for all its
 participants (once per batch length, so a ragged tail batch adds one call),
 K times per round instead of K*m, and they dominate experiment runtime. Each
 stack entry computes exactly what the 2-D call on that entry computes, bit for
-bit. Elementwise steps work in place on the fresh arrays the matmuls return,
-in the same order as the plain expressions, so the bits are theirs and no
-input is modified. Losses returned here are the data term only; L2 decay is
-added by the objective layer on the full parameter vector.
+bit. Elementwise steps, the logits kernels' included, work in place on the
+fresh arrays the matmuls return, in the same order as the plain expressions,
+so the bits are theirs and no input is modified. Losses returned here are the
+data term only; L2 decay is added by the objective layer on the full
+parameter vector.
 """
 
 from __future__ import annotations
@@ -79,8 +80,15 @@ def mlp_value_grad(X, y, W1, b1, W2, b2):
 
 
 def logistic_logits(X, W, b):
-    return X @ W + b
+    z = X @ W
+    z += b
+    return z
 
 
 def mlp_logits(X, W1, b1, W2, b2):
-    return np.tanh(X @ W1 + b1) @ W2 + b2
+    a = X @ W1
+    a += b1
+    np.tanh(a, out=a)
+    z = a @ W2
+    z += b2
+    return z

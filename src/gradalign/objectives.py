@@ -265,10 +265,18 @@ class FederatedProblem:
     coupled comparisons stay bit-reproducible. All client gradients go through
     one gather and one compute step. :meth:`gather` takes the batches of any
     number of steps from one pool of every client's examples, one ``take`` per
-    group, and keeps the full-data stacks it used, so repeated full-batch calls
-    stack the data once; :meth:`gathered_grads` runs one step's kernel calls.
-    A round gathers all its local steps at once, and :meth:`stacked_grads` is
-    the one-step case.
+    group; :meth:`gathered_grads` runs one step's kernel calls. A round
+    gathers all its local steps at once, and :meth:`stacked_grads` is the
+    one-step case. Full-data stacks are kept: those of the last gather that
+    used one, and the all-clients stacks for the problem's lifetime (a view of
+    the pool when a group's clients are consecutive).
+
+    Client objectives are immutable, so the problem also keeps the full-data
+    gradients of the last point it was asked about, keyed on the bytes of
+    ``x`` (-0.0 and +0.0 are different points). :meth:`full_grads` computes
+    only the clients it does not hold at ``x``; evaluation, round anchors and
+    :meth:`client_grads` all go through it, so a round anchored where the
+    last evaluation was made takes no new gradients.
     """
 
     def __init__(self, clients):
@@ -290,6 +298,9 @@ class FederatedProblem:
                        for c in clients]
         self._pool = None  # every client's examples in one array, built on first use
         self._full_stacks = {}  # client tuple -> full-data (X, y) of the last gather that used one
+        self._all_stacks = {}  # the same for all-clients gathers, kept for the problem's lifetime
+        self._held_x = None  # bytes of the point whose full-data gradients are held
+        self._held = {}  # client -> read-only full-data gradient row at that point
 
     @property
     def n(self) -> int:
@@ -344,10 +355,14 @@ class FederatedProblem:
                 members = tuple(int(idx[r]) for r in rows)
                 if members not in full:
                     full[members] = (self._full_stacks.get(members)
+                                     or self._all_stacks.get(members)
                                      or self._take(members, [None] * len(rows)))
                 plans[k][1].append((rows, *full[members]))
         if full:
-            self._full_stacks = full
+            if len(set(map(int, idx))) == self.n:
+                self._all_stacks.update(full)
+            else:
+                self._full_stacks = full
         for entries in pending.values():
             X, y = self._take([int(idx[r]) for _, rows in entries for r in rows],
                               [steps[k][r] for k, rows in entries for r in rows])
@@ -361,13 +376,18 @@ class FederatedProblem:
     def _take(self, members, batches):
         """Stacked (X, y) of ``batches`` (None: all examples) of clients
         ``members``, gathered from the pool of every client's examples in one
-        take."""
+        take. The full data of consecutive clients of one size is a view of
+        the pool instead."""
         if self._pool is None:
             data = [c for c in self.clients if c.data_size is not None]
             starts = np.cumsum([0] + [c.data_size or 0 for c in self.clients])
             self._pool = (np.concatenate([c.features for c in data]),
                           np.concatenate([c.labels for c in data]), starts)
         pool_X, pool_y, starts = self._pool
+        first, m = members[0], len(members)
+        if all(b is None for b in batches) and tuple(members) == tuple(range(first, first + m)):
+            lo, hi = starts[first], starts[first + m]
+            return pool_X[lo:hi].reshape(m, -1, pool_X.shape[1]), pool_y[lo:hi].reshape(m, -1)
         take = np.concatenate([np.arange(self.clients[i].data_size) if b is None else b
                                for i, b in zip(members, batches)]).reshape(len(members), -1)
         take += starts[list(members)][:, None]
@@ -399,9 +419,27 @@ class FederatedProblem:
                 f"non-finite gradient from client {self.clients[idx[row]].client_id!r}")
         return G
 
+    def full_grads(self, idx, x) -> np.ndarray:
+        """Full-data gradients of clients ``idx`` at one point ``x``, as a fresh
+        (m, dim) array; row j is bit-equal to ``clients[idx[j]].stoch_grad(x,
+        None)``. Only the clients not held at ``x`` are computed, with one
+        :meth:`stacked_grads` call; the held rows are read-only and replaced
+        when another point comes.
+        """
+        key = x.tobytes()
+        if key != self._held_x:
+            self._held_x, self._held = key, {}
+        held = self._held
+        miss = sorted({int(i) for i in idx} - held.keys())
+        if miss:
+            G = self.stacked_grads(miss, np.broadcast_to(x, (len(miss),) + x.shape),
+                                   [None] * len(miss))
+            G.flags.writeable = False
+            held.update(zip(miss, G))
+        return np.stack([held[int(i)] for i in idx])
+
     def client_grads(self, x):
-        n = self.n
-        return list(self.stacked_grads(range(n), np.broadcast_to(x, (n,) + x.shape), [None] * n))
+        return list(self.full_grads(range(self.n), x))
 
     def grad(self, x) -> np.ndarray:
         return mean_reduce(self.client_grads(x))

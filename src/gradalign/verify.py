@@ -421,6 +421,7 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
     trace = DescentTrace()
     x = x0
     G = problem.client_grads(x)
+    fx = problem.value(x)
     increases = 0
     for t in range(steps):
         rep = regularizer_report(problem, x, grads=G)
@@ -432,10 +433,11 @@ def descent_condition_check(problem, x0, alpha, beta_policy, steps, stream,
             break
         bound = _beta_upper_bound(alpha, smooth, gfn, grn, rep.r_value)
         beta_t = min(beta_policy, bound / safety) if math.isfinite(bound) else beta_policy
-        f0 = problem.value(x) + beta_t * rep.r_value
+        f0 = fx + beta_t * rep.r_value
         x1 = gradalign_round(problem, x, alpha, beta_t, round_index=t).server_params
         G1 = problem.client_grads(x1)
-        f1 = problem.value(x1) + beta_t * regularizer_value(G1)
+        fx = problem.value(x1)
+        f1 = fx + beta_t * regularizer_value(G1)
         trace.f_hat_before.append(f0)
         trace.f_hat_after.append(f1)
         trace.beta_used.append(beta_t)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradalign import harness
+from gradalign import harness, kernels
 from gradalign.algorithms import run_gd_sequence
 from gradalign.errors import ConfigError, DivergenceError
 from gradalign.harness import (
@@ -23,7 +23,12 @@ from gradalign.harness import (
     verify_suite,
     write_checkpoint,
 )
-from gradalign.objectives import FederatedProblem, QuadraticClient
+from gradalign.objectives import (
+    FederatedProblem,
+    MLPClient,
+    QuadraticClient,
+    make_supervised_client,
+)
 from gradalign.params import SeededStream
 from gradalign.regularizer import regularizer_report
 
@@ -273,6 +278,38 @@ def test_evaluate_is_bitwise_the_reference(model, mode, classes, per_class, clie
     assert evaluate(inst, x, participants) == reference_evaluate(inst, x, participants)
 
 
+def reference_loss_acc(client, x, X, y, l2):
+    """``_loss_acc`` with expression-form logits and softmax terms."""
+    if isinstance(client, MLPClient):
+        W1, b1, W2, b2 = client._unpack(x)
+        z = np.tanh(X @ W1 + b1) @ W2 + b2
+    else:
+        W, b = client._unpack(x)
+        z = X @ W + b
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    rows = np.arange(X.shape[0])
+    loss = float((lse - z[rows, y]).mean()) + 0.5 * l2 * float(x @ x)
+    acc = float((np.argmax(z, axis=1) == y).mean())
+    return loss, acc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), n=st.integers(1, 12), d=st.integers(1, 5),
+       c=st.integers(2, 5), hidden=st.integers(1, 6), l2=st.sampled_from([0.0, 0.01]),
+       scale=st.sampled_from([0.1, 3.0, 300.0]), seed=st.integers(0, 2**16))
+def test_loss_acc_is_bitwise_the_reference(model, n, d, c, hidden, l2, scale, seed):
+    rng = np.random.default_rng(seed)
+    client = make_supervised_client(rng.standard_normal((n, d)), rng.integers(0, c, n), c,
+                                    model=model, hidden=hidden, l2_decay=l2)
+    x = scale * rng.standard_normal(client.dim)
+    X, y = scale * rng.standard_normal((n, d)), rng.integers(0, c, n)
+    before = [a.tobytes() for a in (x, X, y, client.features)]
+    got = harness._loss_acc(client, x, X, y, l2)
+    assert [a.tobytes() for a in (x, X, y, client.features)] == before
+    assert np.array(got).tobytes() == np.array(reference_loss_acc(client, x, X, y, l2)).tobytes()
+
+
 def test_divergence_preserves_partial_metrics(tmp_path):
     for variant in ("largebatch_gd", "sgd_seq"):
         p = write_cfg(tmp_path, BASE_CFG
@@ -309,6 +346,73 @@ def test_divergence_marker_reports_the_earliest_step(tmp_path, monkeypatch):
     assert json.loads(lines[-1]) == {
         "truncated": True, "round": 1,
         "error": "fedavg diverged (round 1, step 1): iterate norm 1.000e+09"}
+
+
+def kernel_calls_per_round(monkeypatch, cfg_path, kernel, out):
+    """Kernel calls of each round of a run, its evaluation included, and the
+    run's full-data pool takes."""
+    calls, takes = [], []
+    real_kernel, real_round = getattr(kernels, kernel), harness.run_round
+    real_take = FederatedProblem._take
+
+    def counted_kernel(*args):
+        calls[-1] += 1
+        return real_kernel(*args)
+
+    def counted_round(*args, **kwargs):
+        calls.append(0)
+        return real_round(*args, **kwargs)
+
+    def counted_take(self, members, batches):
+        takes.append(all(b is None for b in batches))
+        return real_take(self, members, batches)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, kernel, counted_kernel)
+        mp.setattr(harness, "run_round", counted_round)
+        mp.setattr(FederatedProblem, "_take", counted_take)
+        path = run_experiment(parse_config(cfg_path), out)
+    return calls, sum(takes), path.read_bytes()
+
+
+def test_round_anchor_reuses_evaluation_gradients(tmp_path, monkeypatch):
+    """SCAFFOLD on full batches, evaluated every round: the next anchor takes
+    the evaluation's gradients and step 0 takes the anchor's, so a round after
+    the first makes K kernel calls with its evaluation. Minibatch FedGA only
+    saves the anchor of a round that follows an evaluation."""
+    K, rounds = 4, 6
+    scaffold = write_cfg(tmp_path, BASE_CFG.replace("problem.model = logistic",
+                                                    "problem.model = mlp\nproblem.hidden = 3")
+                         .replace("algo.variant = fedavg", "algo.variant = scaffold")
+                         .replace("algo.batch = 8", "algo.batch = full")
+                         .replace("run.rounds = 20", f"run.rounds = {rounds}")
+                         .replace("run.eval_every = 5", "run.eval_every = 1")
+                         + "run.clients_per_round = 2\n", "scaffold.cfg")
+    spec = parse_config(scaffold).problem
+    sizes = {c.data_size for c in build_problem(spec, SeededStream(9).derive("data", 0))
+             .problem.clients}
+    assert len(sizes) == 1  # one kernel group per step
+    calls, full_takes, _ = kernel_calls_per_round(monkeypatch, scaffold, "mlp_value_grad",
+                                                  tmp_path / "scaffold")
+    assert calls == [K + 1] + [K] * (rounds - 1)
+    assert full_takes <= rounds + 1
+
+    fedga = write_cfg(tmp_path, BASE_CFG.replace("algo.variant = fedavg", "algo.variant = fedga")
+                      .replace("run.eval_every = 5", "run.eval_every = 3")
+                      + "algo.beta = 0.1\n", "fedga.cfg")
+    calls, _, metrics = kernel_calls_per_round(monkeypatch, fedga, "logistic_value_grad",
+                                               tmp_path / "held")
+
+    def unheld(self, idx, x):  # every anchor computes its gradients afresh
+        idx = list(idx)
+        return self.stacked_grads(idx, np.broadcast_to(x, (len(idx),) + x.shape),
+                                  [None] * len(idx))
+
+    monkeypatch.setattr(FederatedProblem, "full_grads", unheld)
+    fresh, _, fresh_metrics = kernel_calls_per_round(monkeypatch, fedga, "logistic_value_grad",
+                                                     tmp_path / "fresh")
+    assert metrics == fresh_metrics
+    assert calls == [c - (r > 1 and (r - 1) % 3 == 0) for r, c in enumerate(fresh, 1)]
 
 
 def test_partial_participation_sampling(tmp_path):

@@ -1,7 +1,7 @@
 """Kernel contracts: a saturated softmax gives an infinite loss, a finite
 gradient and no numpy warning; a stacked call computes each slice exactly as
-the 2-D call on it; the in-place kernels are bitwise the expression-form
-reference kernels below and modify no input."""
+the 2-D call on it; the in-place kernels, value+grad and logits, are bitwise
+the expression-form reference kernels below and modify no input."""
 
 import warnings
 
@@ -104,3 +104,34 @@ def test_in_place_kernels_are_bitwise_the_reference(model, lead, n, d, c, h, sca
     assert type(got[0]) is type(want[0])
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def reference_logistic_logits(X, W, b):
+    return X @ W + b
+
+
+def reference_mlp_logits(X, W1, b1, W2, b2):
+    return np.tanh(X @ W1 + b1) @ W2 + b2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]), n=st.integers(1, 12), d=st.integers(1, 5),
+       c=st.integers(2, 5), h=st.integers(1, 6), scale=st.sampled_from([0.1, 3.0, 300.0]),
+       seed=st.integers(0, 2**16))
+def test_in_place_logits_are_bitwise_the_reference(model, n, d, c, h, scale, seed):
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((n, d))
+    if model == "logistic":
+        kernel, reference, shapes = kernels.logistic_logits, reference_logistic_logits, [(d, c),
+                                                                                          (c,)]
+    else:
+        kernel, reference = kernels.mlp_logits, reference_mlp_logits
+        shapes = [(d, h), (h,), (h, c), (c,)]
+    inputs = [X, *(rng.standard_normal(s) for s in shapes)]
+    before = [a.tobytes() for a in inputs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel(*inputs)
+    want = reference(*inputs)
+    assert [a.tobytes() for a in inputs] == before
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

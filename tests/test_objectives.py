@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gradalign.errors import DimensionError, NumericError, UsageError
 from gradalign.objectives import (
+    ClientObjective,
     FederatedProblem,
     LogisticClient,
     MLPClient,
@@ -261,3 +262,74 @@ def test_round_gather_rows_are_bitwise_stoch_grad(model, sizes, batch, K, full_s
             assert G[j].tobytes() == clients[i].stoch_grad(Y[j], steps[k][j]).tobytes()
     full_stacks = {id(X) for k in range(K) if full_steps[k] for _, X, _ in plans[k][1]}
     assert len(full_stacks) <= len(set(sizes))
+
+
+class SignKeepingClient(ClientObjective):
+    """f(x) = |x|^2 / 2 with the gradient ``x`` itself, so a gradient shows
+    the sign of a zero in the point (a quadratic's matmul does not)."""
+
+    def __init__(self, dim, client_id=None):
+        self.dim = dim
+        self.client_id = client_id
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def grad(self, x):
+        return self._checked(x.copy())
+
+
+def held_grads_problem(kind, sizes, l2, rng):
+    if kind == "quadratic":
+        quads = make_quadratic_problem(len(sizes), 4, 0.5, SeededStream(int(rng.integers(99))))
+        return FederatedProblem(quads + [SignKeepingClient(4, client_id=len(quads))])
+    return FederatedProblem([
+        make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
+                               model=kind, hidden=4, l2_decay=l2, client_id=i)
+        for i, n in enumerate(sizes)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
+       sizes=st.lists(st.sampled_from([3, 5, 8]), min_size=1, max_size=5),
+       l2=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16), data=st.data())
+def test_full_grads_rows_are_bitwise_stoch_grad(kind, sizes, l2, seed, data):
+    """Over a sequence of points with repeats, and points that differ only in
+    the sign of a zero, every row of ``full_grads`` and ``client_grads`` is
+    the client's own full-data gradient at that point."""
+    rng = np.random.default_rng(seed)
+    problem = held_grads_problem(kind, sizes, l2, rng)
+    clients, n = problem.clients, problem.n
+    base = rng.standard_normal(problem.dim)
+    base[rng.random(problem.dim) < 0.5] = 0.0
+    flipped = base.copy()
+    flipped[base == 0.0] = -0.0
+    points = [base, flipped, 0.5 * base, np.zeros(problem.dim), -np.zeros(problem.dim)]
+    for _ in range(data.draw(st.integers(1, 8), label="length")):
+        x = points[data.draw(st.integers(0, len(points) - 1), label="point")].copy()
+        if data.draw(st.booleans(), label="all"):
+            G = problem.client_grads(x)
+            idx = range(n)
+        else:
+            idx = data.draw(st.permutations(range(n)), label="order")
+            idx = idx[:data.draw(st.integers(1, n), label="m")]
+            G = problem.full_grads(idx, x)
+            assert G.shape == (len(idx), problem.dim) and G.flags.writeable
+        for j, i in enumerate(idx):
+            assert G[j].tobytes() == clients[i].stoch_grad(x, None).tobytes()
+
+
+def test_writing_into_returned_gradients_changes_no_later_result(logistic_problem, quad3):
+    for problem in (logistic_problem, quad3):
+        n, x = problem.n, np.linspace(-0.5, 0.5, problem.dim)
+        want = [c.grad(x).tobytes() for c in problem.clients]
+        for _ in range(2):
+            for G in (problem.client_grads(x), problem.full_grads(range(n), x),
+                      problem.full_grads([n - 1, 0], x),
+                      problem.stacked_grads(range(n), np.tile(x, (n, 1)), [None] * n)):
+                for g in G:
+                    g[:] = np.nan
+        assert [g.tobytes() for g in problem.client_grads(x)] == want
+        assert [g.tobytes() for g in problem.full_grads(range(n), x)] == want
+        G = problem.stacked_grads(range(n), np.tile(x, (n, 1)), [None] * n)
+        assert [g.tobytes() for g in G] == want

@@ -384,3 +384,29 @@ def test_no_caller_takes_client_gradients_twice_at_a_point(monkeypatch):
     run_all_checks(master_seed=0)
     assert len(frames) > 100
     assert repeats == []
+
+
+def test_no_caller_evaluates_the_objective_twice_at_a_point(monkeypatch):
+    """Each caller reuses the objective values it holds: within one call of a
+    function, no two ``FederatedProblem.value`` calls land on the same problem
+    and point."""
+    original = FederatedProblem.value
+    frames = []  # kept alive so that frame ids stay unique
+    seen = set()
+    repeats = []
+
+    def counted(self, x):
+        f = sys._getframe(1)
+        while f.f_code.co_name.startswith("<"):
+            f = f.f_back
+        frames.append(f)
+        key = (id(f), id(self), x.tobytes())
+        if key in seen:
+            repeats.append(f.f_code.co_name)
+        seen.add(key)
+        return original(self, x)
+
+    monkeypatch.setattr(FederatedProblem, "value", counted)
+    run_all_checks(master_seed=0)
+    assert len(frames) > 50
+    assert repeats == []
