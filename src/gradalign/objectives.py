@@ -2,9 +2,10 @@
 
 Quadratics carry analytic gradients and Hessian-vector products and serve as
 exact oracles for the theorem checks. Supervised clients get hand-written
-backprop gradients (see :mod:`gradalign.kernels`) and Hessian-vector products
-via central differences of the gradient. All objectives are immutable after
-construction; minibatch sampling state belongs to the caller.
+backprop gradients (see :mod:`gradalign.kernels`); their Hessian-vector
+products are central differences of those gradients, taken for many clients
+and directions at once by :meth:`FederatedProblem.hvps`. All objectives are
+immutable after construction; minibatch sampling state belongs to the caller.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class ClientObjective(ABC):
 
     dim: int
     client_id: int | None = None
-    has_analytic_hvp: bool = False
     #: number of local examples, or None for data-free objectives
     data_size: int | None = None
 
@@ -54,19 +54,6 @@ class ClientObjective(ABC):
         """
         return self.grad(x)
 
-    def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hessian-vector product via central differences of the gradient.
-
-        A zero direction returns the zero vector rather than erroring.
-        """
-        if x.shape != v.shape:
-            raise DimensionError(f"hvp length mismatch: {x.shape} vs {v.shape}")
-        vn = float(np.linalg.norm(v))
-        if vn == 0.0:
-            return np.zeros_like(v)
-        eps = _EPS_CBRT * (1.0 + float(np.linalg.norm(x))) / max(vn, 1e-12)
-        return (self.grad(x + eps * v) - self.grad(x - eps * v)) / (2.0 * eps)
-
     def _checked(self, g: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient from client {self.client_id!r}")
@@ -75,8 +62,6 @@ class ClientObjective(ABC):
 
 class QuadraticClient(ClientObjective):
     """f(x) = 0.5 x'Ax + b'x with symmetric A; gradients and HVPs are exact."""
-
-    has_analytic_hvp = True
 
     def __init__(self, A, b, client_id=None):
         A = np.asarray(A, dtype=np.float64)
@@ -161,9 +146,6 @@ class _SupervisedClient(ClientObjective):
 
     def logits(self, x, X=None):
         raise NotImplementedError
-
-    def predict(self, x, X=None):
-        return np.argmax(self.logits(x, X), axis=1)
 
 
 class LogisticClient(_SupervisedClient):
@@ -277,6 +259,7 @@ class FederatedProblem:
     only the clients it does not hold at ``x``; evaluation, round anchors and
     :meth:`client_grads` all go through it, so a round anchored where the
     last evaluation was made takes no new gradients.
+    Every Hessian-vector product goes through :meth:`hvps`.
     """
 
     def __init__(self, clients):
@@ -444,8 +427,31 @@ class FederatedProblem:
     def grad(self, x) -> np.ndarray:
         return mean_reduce(self.client_grads(x))
 
-    def hvp(self, x, v) -> np.ndarray:
-        return mean_reduce([c.hvp(x, v) for c in self.clients])
-
-    def subset(self, indices) -> "FederatedProblem":
-        return FederatedProblem([self.clients[i] for i in indices])
+    def hvps(self, idx, x, V) -> np.ndarray:
+        """Hessian-vector products at one point ``x``: row j is client
+        ``idx[j]``'s Hessian applied to ``V[j]`` (m, dim); ``idx`` may repeat
+        clients in any order. Data-free rows are exact. Supervised rows are
+        central differences with step ``cbrt(eps) * (1 + |x|) / |V[j]|``, all
+        evaluated by one :meth:`stacked_grads` call. A zero direction gives a
+        zero row.
+        """
+        if V.shape != (len(idx),) + x.shape:
+            raise DimensionError(f"hvps shape mismatch: V {V.shape}, x {x.shape}, {len(idx)} rows")
+        H = np.zeros(V.shape)
+        scale = _EPS_CBRT * (1.0 + float(np.linalg.norm(x)))
+        rows, eps = [], []
+        for j, i in enumerate(idx):
+            if self._kinds[i] is None:
+                H[j] = self.clients[i].hvp(x, V[j])
+            # one 1-D norm per row: a norm over an axis can differ in the last bit
+            elif (vn := float(np.linalg.norm(V[j]))) != 0.0:
+                rows.append(j)
+                eps.append(scale / max(vn, 1e-12))
+        if rows:
+            members = [idx[j] for j in rows] * 2
+            eps = np.array(eps)[:, None]
+            step = eps * V[rows]
+            G = self.stacked_grads(members, np.concatenate([x + step, x - step]),
+                                   [None] * len(members))
+            H[rows] = (G[:len(rows)] - G[len(rows):]) / (2.0 * eps)
+        return H

@@ -7,10 +7,11 @@ client gradients, so :func:`regularizer_value` computes no Hessian-vector
 product. The gradient is assembled from client Hessian-vector products
 applied to the per-client deviations:
 
-    grad_r(x) = mean_i hvp_i(x, d_i) - mean_hvp(x, mean_i d_i),   d_i = g_i - gbar
+    grad_r(x) = mean_i H_i d_i - mean_i H_i dbar,   d_i = g_i - gbar,  dbar = mean_i d_i
 
-which is exact for quadratics. A finite-difference-of-r path exists purely as
-a cross-check.
+with all 2n products taken in one :meth:`FederatedProblem.hvps` call; it is
+exact for quadratics. ``_fd_grad_of_r`` (central differences of r) is kept
+only as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class RegularizerReport:
     r_value: float
     per_client_dev: np.ndarray  # n gradient-deviation norms
     grad_r: np.ndarray
-    method: str  # analytic | hvp_assembled | fd_of_r
 
 
 def _deviations(grads):
@@ -62,7 +62,7 @@ def regularizer_value(grads) -> float:
 
 
 def regularizer_report(problem: FederatedProblem, x: np.ndarray,
-                       method: str = "auto", grads=None) -> RegularizerReport:
+                       grads=None) -> RegularizerReport:
     """Evaluate r(x), per-client deviation norms, and grad r(x).
 
     ``grads`` may pass the client gradients at ``x`` the caller already holds
@@ -70,17 +70,9 @@ def regularizer_report(problem: FederatedProblem, x: np.ndarray,
     """
     devs, dev_norms, r_value = _deviations(
         problem.client_grads(x) if grads is None else list(grads))
-    if method == "fd_of_r":
-        grad_r = _fd_grad_of_r(problem, x)
-        used = "fd_of_r"
-    elif method in ("auto", "analytic", "hvp_assembled"):
-        hvps = [c.hvp(x, d) for c, d in zip(problem.clients, devs)]
-        dbar = mean_reduce(devs)
-        grad_r = mean_reduce(hvps) - problem.hvp(x, dbar)
-        used = "analytic" if all(c.has_analytic_hvp for c in problem.clients) else "hvp_assembled"
-    else:
-        raise UsageError(f"unknown regularizer method {method!r}")
-    return RegularizerReport(r_value, dev_norms, grad_r, used)
+    n = problem.n
+    H = problem.hvps([*range(n)] * 2, x, np.stack(devs + [mean_reduce(devs)] * n))
+    return RegularizerReport(r_value, dev_norms, mean_reduce(H[:n]) - mean_reduce(H[n:]))
 
 
 def _fd_grad_of_r(problem, x, rel_step=None):
@@ -155,7 +147,8 @@ def estimate_smoothness_constants(problem: FederatedProblem, region_center: np.n
         G = problem.client_grads(p)
         grads.append(mean_reduce(G))
         grad_rs.append(regularizer_report(problem, p, grads=G).grad_r)
-    hvps = [[[c.hvp(p, w) for w in dirs] for c in problem.clients] for p in pts]
+    idx, W = np.repeat(np.arange(problem.n), n_dirs), np.stack(dirs * problem.n)
+    hvps = [problem.hvps(idx, p, W) for p in pts]  # rows (client, direction), client-major
 
     L1 = L2 = rho = 0.0
     for i in range(probes):
@@ -165,8 +158,6 @@ def estimate_smoothness_constants(problem: FederatedProblem, region_center: np.n
                 continue
             L1 = max(L1, float(np.linalg.norm(grads[i] - grads[j])) / gap)
             L2 = max(L2, float(np.linalg.norm(grad_rs[i] - grad_rs[j])) / gap)
-            for ci in range(problem.n):
-                for wi in range(n_dirs):
-                    diff = float(np.linalg.norm(hvps[i][ci][wi] - hvps[j][ci][wi]))
-                    rho = max(rho, diff / gap)
+            for diff in hvps[i] - hvps[j]:
+                rho = max(rho, float(np.linalg.norm(diff)) / gap)
     return SmoothnessEstimate(L1, L2, rho, probes)

@@ -135,7 +135,7 @@ def _exact_verdict(theorem_id, pairs, floor, notes=""):
 
 
 def _is_quadratic(problem) -> bool:
-    return all(c.has_analytic_hvp for c in problem.clients)
+    return all(c.data_size is None for c in problem.clients)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,12 @@ def taylor_displaced_gradient_check(client, x, v, scales, expected_slope=2.0,
     if any(s <= 0 for s in scales):
         raise UsageError("scales must be positive")
     base = client.grad(x)
-    hv = client.hvp(x, v)
+    hv = FederatedProblem([client]).hvps([0], x, v[None])[0]
     pairs = []
     for s in scales:
         resid = float(np.linalg.norm(client.grad(x + s * v) - base - s * hv))
         pairs.append((s, resid))
-    notes = "analytic hvp" if client.has_analytic_hvp else "finite-difference hvp"
+    notes = "analytic hvp" if client.data_size is None else "finite-difference hvp"
     return _slope_verdict("lemma1", pairs, expected_slope, tolerance, notes,
                           one_sided=True)
 

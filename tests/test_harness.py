@@ -245,7 +245,8 @@ def reference_evaluate(inst, x, participants):
                                               inst.l2)
     test_loss, test_acc = harness._loss_acc(ref, x, inst.test_features, inst.test_labels,
                                             inst.l2)
-    rep = regularizer_report(inst.problem.subset(participants), x)
+    sub = FederatedProblem([inst.problem.clients[i] for i in participants])
+    rep = regularizer_report(sub, x)
     dev0 = float(np.linalg.norm(inst.problem.grad(x) - inst.problem.clients[0].grad(x)))
     return {
         "train_loss": train_loss,

@@ -54,9 +54,11 @@ def test_quadratic_hvp_forced():
 
 def test_hvp_zero_direction_returns_zero():
     c = QuadraticClient([[2.0]], [0.0])
-    assert np.array_equal(c.hvp(np.array([1.0]), np.zeros(1)), [0.0])
+    assert np.array_equal(FederatedProblem([c]).hvps([0], np.array([1.0]), np.zeros((1, 1))),
+                          [[0.0]])
     lc = small_logistic()
-    assert np.array_equal(lc.hvp(np.zeros(lc.dim), np.zeros(lc.dim)), np.zeros(lc.dim))
+    zeros = np.zeros((1, lc.dim))
+    assert np.array_equal(FederatedProblem([lc]).hvps([0], np.zeros(lc.dim), zeros), zeros)
 
 
 def test_quadratic_requires_symmetry():
@@ -166,13 +168,13 @@ def test_hvp_symmetry_all_clients(seed, quad3, logistic_problem, mlp_problem, ml
     for prob, x in ((quad3, rng.standard_normal(quad3.dim)),
                     (logistic_problem, 0.2 * rng.standard_normal(logistic_problem.dim)),
                     (mlp_problem, mlp_x0)):
-        for c in prob.clients:
-            u = rng.standard_normal(c.dim)
+        for ci in range(prob.n):
+            u = rng.standard_normal(prob.dim)
             u /= np.linalg.norm(u)
-            v = rng.standard_normal(c.dim)
+            v = rng.standard_normal(prob.dim)
             v /= np.linalg.norm(v)
-            lhs = float(v @ c.hvp(x, u))
-            rhs = float(u @ c.hvp(x, v))
+            lhs = float(v @ prob.hvps([ci], x, u[None])[0])
+            rhs = float(u @ prob.hvps([ci], x, v[None])[0])
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -188,14 +190,15 @@ def test_logistic_hvp_matches_dense_fd_hessian():
         e[j] = eps
         H[:, j] = (c.grad(x + e) - c.grad(x - e)) / (2 * eps)
         e[j] = 0.0
-    np.testing.assert_allclose(c.hvp(x, v), H @ v, rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(FederatedProblem([c]).hvps([0], x, v[None])[0], H @ v,
+                               rtol=1e-4, atol=1e-6)
 
 
 def test_federated_problem_mean_services(pair_1d):
     x = np.array([2.0])
     assert pair_1d.value(x) == pytest.approx(2.0)  # (4 + 0)/2
     assert pair_1d.grad(x)[0] == pytest.approx(2.0)
-    assert pair_1d.subset([0]).grad(x)[0] == pytest.approx(4.0)
+    assert FederatedProblem([pair_1d.clients[0]]).grad(x)[0] == pytest.approx(4.0)
 
 
 def test_federated_problem_dim_mismatch():
@@ -333,3 +336,54 @@ def test_writing_into_returned_gradients_changes_no_later_result(logistic_proble
         assert [g.tobytes() for g in problem.full_grads(range(n), x)] == want
         G = problem.stacked_grads(range(n), np.tile(x, (n, 1)), [None] * n)
         assert [g.tobytes() for g in G] == want
+
+
+_EPS_CBRT = float(np.cbrt(np.finfo(np.float64).eps))
+
+
+def reference_hvp(client, x, v):
+    """One client's Hessian-vector product by central differences of its
+    gradient, one client and one direction at a time (the per-client path
+    that ``FederatedProblem.hvps`` replaced)."""
+    vn = float(np.linalg.norm(v))
+    if vn == 0.0:
+        return np.zeros_like(v)
+    eps = _EPS_CBRT * (1.0 + float(np.linalg.norm(x))) / max(vn, 1e-12)
+    return (client.grad(x + eps * v) - client.grad(x - eps * v)) / (2.0 * eps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
+       sizes=st.lists(st.sampled_from([3, 5, 8]), min_size=1, max_size=4),
+       l2=st.sampled_from([0.0, 0.1]), with_quadratic=st.booleans(),
+       scale=st.sampled_from([0.1, 3.0, 300.0]), seed=st.integers(0, 2**16), data=st.data())
+def test_hvps_rows_are_bitwise_the_reference(kind, sizes, l2, with_quadratic, scale, seed, data):
+    """Every row of ``hvps`` is the per-client central difference bit for bit
+    (``A @ v`` for quadratic rows) over uneven clients, repeated and unordered
+    client indices, zero directions and a wide range of input scales; no
+    input is modified."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        clients = make_quadratic_problem(len(sizes), 4, 0.5, SeededStream(seed))
+    else:
+        clients = [make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
+                                          model=kind, hidden=4, l2_decay=l2, client_id=i)
+                   for i, n in enumerate(sizes)]
+        if with_quadratic:
+            M = rng.standard_normal((clients[0].dim,) * 2)
+            clients.append(QuadraticClient(M + M.T, rng.standard_normal(clients[0].dim)))
+    problem = FederatedProblem(clients)
+    idx = data.draw(st.lists(st.integers(0, problem.n - 1), min_size=1, max_size=8), label="idx")
+    x = scale * rng.standard_normal(problem.dim)
+    V = scale * rng.standard_normal((len(idx), problem.dim))
+    V[rng.random(len(idx)) < 0.3] = rng.choice([0.0, -0.0])
+    x_in, V_in, idx_in = x.copy(), V.copy(), list(idx)
+    H = problem.hvps(idx, x, V)
+    assert H.shape == V.shape
+    assert x.tobytes() == x_in.tobytes() and V.tobytes() == V_in.tobytes() and idx == idx_in
+    for j, i in enumerate(idx):
+        c = clients[i]
+        want = c.A @ V[j] if c.data_size is None else reference_hvp(c, x, V[j])
+        assert H[j].tobytes() == want.tobytes()
+    with pytest.raises(DimensionError):
+        problem.hvps(idx, x, V[:, :-1])

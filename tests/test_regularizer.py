@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from gradalign import kernels
 from gradalign.objectives import FederatedProblem, QuadraticClient
+from gradalign.params import SeededStream
 from gradalign.regularizer import (
+    _fd_grad_of_r,
     estimate_smoothness_constants,
     regularizer_report,
     regularizer_value,
@@ -26,7 +29,6 @@ def test_pair_fixture_hand_values(pair_1d):
     rep = regularizer_report(pair_1d, np.array([1.0]))
     assert rep.r_value == pytest.approx(0.5, abs=1e-15)
     assert rep.grad_r[0] == pytest.approx(1.0, abs=1e-14)
-    assert rep.method == "analytic"
 
 
 def test_r_from_fixed_gradient_pair():
@@ -68,7 +70,7 @@ def test_report_from_held_grads_is_bitwise_the_report(fixture, request):
         a = regularizer_report(prob, x)
         for grads in (prob.client_grads(x), iter(prob.client_grads(x))):
             b = regularizer_report(prob, x, grads=grads)
-            assert b.r_value == a.r_value and b.method == a.method
+            assert b.r_value == a.r_value
             assert b.per_client_dev.tobytes() == a.per_client_dev.tobytes()
             assert b.grad_r.tobytes() == a.grad_r.tobytes()
 
@@ -101,9 +103,8 @@ def test_grad_r_matches_fd_of_r_quadratic(seed, quad3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(2)
     rep = regularizer_report(quad3, x)
-    fd = regularizer_report(quad3, x, method="fd_of_r")
-    assert fd.method == "fd_of_r"
-    np.testing.assert_allclose(fd.grad_r, rep.grad_r,
+    fd = _fd_grad_of_r(quad3, x)
+    np.testing.assert_allclose(fd, rep.grad_r,
                                rtol=1e-6, atol=1e-8 * max(1, np.linalg.norm(rep.grad_r)))
 
 
@@ -112,10 +113,9 @@ def test_grad_r_matches_fd_of_r_supervised(logistic_problem):
     rng = np.random.default_rng(3)
     x = 0.1 * rng.standard_normal(logistic_problem.dim)
     rep = regularizer_report(logistic_problem, x)
-    assert rep.method == "hvp_assembled"
-    fd = regularizer_report(logistic_problem, x, method="fd_of_r")
-    np.testing.assert_allclose(rep.grad_r, fd.grad_r, rtol=1e-5,
-                               atol=1e-6 * max(1, np.linalg.norm(fd.grad_r)))
+    fd = _fd_grad_of_r(logistic_problem, x)
+    np.testing.assert_allclose(rep.grad_r, fd, rtol=1e-5,
+                               atol=1e-6 * max(1, np.linalg.norm(fd)))
 
 
 def test_r_invariant_under_common_affine_shift(quad3):
@@ -162,3 +162,33 @@ def test_estimates_are_lower_bounds(quad3, stream):
     true_L1 = float(np.abs(np.linalg.eigvalsh(A_bar)).max())
     assert est.L1 <= true_L1 + 1e-9
     assert est.rho <= 1e-8  # constant Hessians
+
+
+def count_kernel_calls(monkeypatch):
+    """Route both value+grad kernels through a counter; returns its list."""
+    calls = []
+    for name in ("logistic_value_grad", "mlp_value_grad"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, _kernel=kernel: (calls.append(1), _kernel(*args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["logistic_problem", "mlp_problem"])
+def test_hvps_take_at_most_two_kernel_calls_per_group(fixture, request, monkeypatch):
+    """A report's 2n Hessian-vector products, and each probe's, are stacked:
+    at most two kernel calls per group of clients sharing a model and a data
+    size, where one call per client and direction takes 4n for a report."""
+    prob = request.getfixturevalue(fixture)
+    groups = len({(c._kernel, c._shapes, c.l2_decay, c.data_size) for c in prob.clients})
+    x = 0.2 * np.random.default_rng(5).standard_normal(prob.dim)
+    G = prob.client_grads(x)
+    calls = count_kernel_calls(monkeypatch)
+    rep = regularizer_report(prob, x, grads=G)
+    assert len(calls) <= 2 * groups
+    assert rep.grad_r.tobytes() == regularizer_report(prob, x).grad_r.tobytes()
+    calls.clear()
+    probes = 4
+    estimate_smoothness_constants(prob, x, 0.5, probes, SeededStream(3))
+    # per probe: the client gradients, then the report's and the rho products
+    assert len(calls) <= probes * (1 + 2 + 2) * groups
