@@ -79,7 +79,9 @@ def gen_blobs(n_classes: int, per_class: int, input_dim: int, sep: float,
         min_dist = dists[np.triu_indices(n_classes, k=1)].min()
         means *= sep / min_dist
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-    features = means[labels] + rng.standard_normal((labels.shape[0], input_dim))
+    # feature-major, the layout the kernels read (see kernels)
+    features = np.empty((input_dim, labels.shape[0])).T
+    np.add(means[labels], rng.standard_normal((labels.shape[0], input_dim)), out=features)
     return Dataset(features, labels, n_classes)
 
 
@@ -98,8 +100,9 @@ def train_test_split(ds: Dataset, test_fraction: float, stream: SeededStream):
         test_idx.append(idx[cut:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    train = Dataset(ds.features[train_idx], ds.labels[train_idx], ds.n_classes)
-    test = Dataset(ds.features[test_idx], ds.labels[test_idx], ds.n_classes)
+    # both sides feature-major, the layout the kernels read (see kernels)
+    train = Dataset(ds.features.T.take(train_idx, axis=1).T, ds.labels[train_idx], ds.n_classes)
+    test = Dataset(ds.features.T.take(test_idx, axis=1).T, ds.labels[test_idx], ds.n_classes)
     return train, test
 
 

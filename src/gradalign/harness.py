@@ -329,9 +329,9 @@ def parse_config(path, purpose: str = "run") -> ExperimentConfig:
 @dataclass(frozen=True)
 class ProblemInstance:
     problem: FederatedProblem
-    train_features: np.ndarray
+    train_features: np.ndarray  # (n, d), feature-major like the data pool
     train_labels: np.ndarray
-    test_features: np.ndarray
+    test_features: np.ndarray  # likewise
     test_labels: np.ndarray
     n_classes: int
     l2: float
@@ -353,7 +353,7 @@ def build_problem(spec: ProblemSpec, stream: SeededStream) -> ProblemInstance:
                      spec.classes_per_client)
     clients = [
         make_supervised_client(
-            train.features[idx], train.labels[idx], train.n_classes,
+            train.features.T.take(idx, axis=1).T, train.labels[idx], train.n_classes,
             model=spec.model, hidden=spec.hidden, l2_decay=spec.l2, client_id=i,
         )
         for i, idx in enumerate(part.assignment)
@@ -376,15 +376,25 @@ def initial_params(inst: ProblemInstance, spec: ProblemSpec, stream: SeededStrea
 
 
 def _loss_acc(client, x, X, y, l2):
-    z = client.logits(x, X)
-    zmax = z.max(axis=1, keepdims=True)
-    e = z - zmax
+    """Mean cross-entropy (plus L2) and accuracy of ``client``'s model at
+    ``x`` on (X, y), computed on class-major logits (see kernels)."""
+    Z = client.logits(x, X).T  # (C, n)
+    zmax = Z.max(axis=0)
+    e = Z - zmax
     np.exp(e, out=e)
-    lse = zmax[:, 0] + np.log(e.sum(axis=1))
-    rows = np.arange(X.shape[0])
-    loss = float((lse - z[rows, y]).mean()) + 0.5 * l2 * float(x @ x)
-    acc = float((np.argmax(z, axis=1) == y).mean())
-    return loss, acc
+    lse = zmax + np.log(e.sum(axis=0))
+    at_y = y * Z.shape[1]  # flat index of each example's true-class logit
+    at_y += np.arange(Z.shape[1])
+    loss = float((lse - Z.reshape(-1)[at_y]).mean()) + 0.5 * l2 * float(x @ x)
+    # np.argmax's pick (the first maximal class, or the first NaN) is the true
+    # class when only the true class attains the max; ties and NaN columns,
+    # where no single class does, take np.argmax itself
+    top = Z == zmax
+    hit = top.reshape(-1)[at_y]
+    odd = top.sum(axis=0) != 1
+    if odd.any():
+        hit[odd] = np.argmax(Z[:, odd], axis=0) == y[odd]
+    return loss, float(hit.mean())
 
 
 def evaluate(inst: ProblemInstance, x: np.ndarray, participants) -> dict:

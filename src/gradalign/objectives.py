@@ -99,13 +99,13 @@ class _SupervisedClient(ClientObjective):
     """
 
     def __init__(self, features, labels, n_classes, l2_decay=0.0, client_id=None):
-        X = np.ascontiguousarray(features, dtype=np.float64)
+        X = np.asarray(features, dtype=np.float64)
         y = np.ascontiguousarray(labels, dtype=np.int64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise DimensionError(f"data shapes off: X {X.shape}, y {y.shape}")
         if l2_decay < 0:
             raise UsageError("l2_decay must be >= 0")
-        self.features = X
+        self.features = np.asfortranarray(X)  # (n, d), feature-major (see kernels)
         self.labels = y
         self.n_classes = int(n_classes)
         self.l2_decay = float(l2_decay)
@@ -121,7 +121,7 @@ class _SupervisedClient(ClientObjective):
     def _slice(self, batch):
         if batch is None:
             return self.features, self.labels
-        return self.features[batch], self.labels[batch]
+        return self.features.T.take(batch, axis=1).T, self.labels[batch]
 
     def _unpack(self, x):
         """Views of the parameter blocks of ``x`` (..., dim); leading axes stay."""
@@ -134,7 +134,11 @@ class _SupervisedClient(ClientObjective):
         return np.concatenate([g.reshape(x.shape[:-1] + (-1,)) for g in grads], axis=-1)
 
     def value(self, x):
-        loss = getattr(kernels, self._kernel)(self.features, self.labels, *self._unpack(x))[0]
+        return self._objective(
+            getattr(kernels, self._kernel)(self.features, self.labels, *self._unpack(x))[0], x)
+
+    def _objective(self, loss, x):
+        """The objective at ``x`` from the kernel's data loss there."""
         return loss + 0.5 * self.l2_decay * float(x @ x)
 
     def stoch_grad(self, x, batch=None):
@@ -249,9 +253,18 @@ class FederatedProblem:
     number of steps from one pool of every client's examples, one ``take`` per
     group; :meth:`gathered_grads` runs one step's kernel calls. A round
     gathers all its local steps at once, and :meth:`stacked_grads` is the
-    one-step case. Full-data stacks are kept: those of the last gather that
-    used one, and the all-clients stacks for the problem's lifetime (a view of
-    the pool when a group's clients are consecutive).
+    one-step case.
+
+    Pool layout. The pool holds every client's examples once, feature-major:
+    a (d, N) array whose rows are features and whose columns are examples,
+    in blocks of one full-data group each (supervised clients of one kind and
+    size, ascending), so a group's all-clients stack (``_all_stacks``) is a
+    view of its block. Gathered batches are taken along the example axis.
+    Every stack handed to the kernels is (m, n, d) over feature-major memory.
+    Besides the all-clients stacks, the full-data stacks of the last gather
+    that took stacks of distinct clients (a round's participants) are kept;
+    any other full-data rows (repeated clients, as in :meth:`hvps`) are taken
+    from the all-clients stack afresh.
 
     Client objectives are immutable, so the problem also keeps the full-data
     gradients of the last point it was asked about, keyed on the bytes of
@@ -279,9 +292,14 @@ class FederatedProblem:
         self._kinds = [None if c.data_size is None else
                        kinds.setdefault((c._kernel, c._shapes, c.l2_decay), len(kinds))
                        for c in clients]
-        self._pool = None  # every client's examples in one array, built on first use
-        self._full_stacks = {}  # client tuple -> full-data (X, y) of the last gather that used one
-        self._all_stacks = {}  # the same for all-clients gathers, kept for the problem's lifetime
+        groups = {}  # (kind, size) -> clients, ascending: the full-data groups
+        for i, (c, kind) in enumerate(zip(clients, self._kinds)):
+            if kind is not None:
+                groups.setdefault((kind, c.data_size), []).append(i)
+        self._groups = {key: tuple(members) for key, members in groups.items()}
+        self._pool = None  # (features (d, N), labels, client starts), built on first use
+        self._all_stacks = {}  # group -> full-data (X, y) of all its clients, pool views
+        self._full_stacks = {}  # client tuple -> full-data (X, y) kept from the last gather
         self._held_x = None  # bytes of the point whose full-data gradients are held
         self._held = {}  # client -> read-only full-data gradient row at that point
 
@@ -290,9 +308,19 @@ class FederatedProblem:
         return len(self.clients)
 
     def value(self, x) -> float:
+        """Mean objective at ``x``: one stacked kernel call per full-data
+        group, then the client values summed in ascending client order, so
+        the result is bitwise the mean of ``clients[i].value(x)``."""
+        losses = {}
+        for key, members in self._groups.items():
+            c = self.clients[members[0]]
+            X, y = self._full_stack(key, members)
+            loss = getattr(kernels, c._kernel)(
+                X, y, *c._unpack(np.broadcast_to(x, (len(members),) + x.shape)))[0]
+            losses.update(zip(members, loss.tolist()))
         total = 0.0
-        for c in self.clients:
-            total += c.value(x)
+        for i, c in enumerate(self.clients):
+            total += c.value(x) if i not in losses else c._objective(losses[i], x)
         return total / self.n
 
     def stacked_grads(self, idx, Y, batches) -> np.ndarray:
@@ -314,14 +342,14 @@ class FederatedProblem:
         l2 and batch length (grouping, not padding, keeps each row's reduction
         length); each group takes the batches of all its steps from the data
         pool with one ``take``, step-major, so a step's rows are one contiguous
-        slice of it. A step whose group rows all use their full data reuses the
-        kept full-data stack of those clients instead. Data-free rows keep
-        their batch for a row-by-row call.
+        slice of it. A step whose group rows all use their full data uses a
+        full-data stack of those clients instead (see the class docstring).
+        Data-free rows keep their batch for a row-by-row call.
         """
         clients, kinds = self.clients, self._kinds
         plans = [([], []) for _ in steps]  # per step: data-free (row, batch), kernel parts
         pending = {}  # group key -> [(step, rows)] for one take
-        full = {}
+        full = {}  # (group key, client tuple) -> full-data stack
         for k, batches in enumerate(steps):
             groups = {}
             for row, (i, batch) in enumerate(zip(idx, batches)):
@@ -336,16 +364,13 @@ class FederatedProblem:
                     pending.setdefault(key, []).append((k, rows))
                     continue
                 members = tuple(int(idx[r]) for r in rows)
-                if members not in full:
-                    full[members] = (self._full_stacks.get(members)
-                                     or self._all_stacks.get(members)
-                                     or self._take(members, [None] * len(rows)))
-                plans[k][1].append((rows, *full[members]))
-        if full:
-            if len(set(map(int, idx))) == self.n:
-                self._all_stacks.update(full)
-            else:
-                self._full_stacks = full
+                if (key, members) not in full:
+                    full[key, members] = self._full_stack(key, members)
+                plans[k][1].append((rows, *full[key, members]))
+        taken = {members: stack for (key, members), stack in full.items()
+                 if members != self._groups[key] and len(set(members)) == len(members)}
+        if taken:
+            self._full_stacks = taken
         for entries in pending.values():
             X, y = self._take([int(idx[r]) for _, rows in entries for r in rows],
                               [steps[k][r] for k, rows in entries for r in rows])
@@ -356,25 +381,48 @@ class FederatedProblem:
                 lo = hi
         return plans
 
+    def _data(self):
+        """The pool: every client's examples feature-major (d, N), their
+        labels, and each client's first column. Built on first use, with
+        each full-data group's all-clients stack as a view of its block."""
+        if self._pool is None:
+            order = [i for members in self._groups.values() for i in members]
+            X = np.concatenate([self.clients[i].features.T for i in order], axis=1)
+            y = np.concatenate([self.clients[i].labels for i in order])
+            starts = np.zeros(self.n, dtype=np.int64)
+            lo = 0
+            for (kind, size), members in self._groups.items():
+                m, hi = len(members), lo + len(members) * size
+                starts[list(members)] = lo + size * np.arange(m)
+                self._all_stacks[kind, size] = (
+                    X[:, lo:hi].reshape(-1, m, size).transpose(1, 2, 0),
+                    y[lo:hi].reshape(m, size))
+                lo = hi
+            self._pool = X, y, starts
+        return self._pool
+
+    def _full_stack(self, key, members):
+        """Full-data (X, y) of clients ``members`` of group ``key``: the
+        group's all-clients stack, the kept stack of those clients, or their
+        rows taken from the all-clients stack."""
+        self._data()
+        X, y = self._all_stacks[key]
+        if members == self._groups[key]:
+            return X, y
+        if members in self._full_stacks:
+            return self._full_stacks[members]
+        pos = np.searchsorted(self._groups[key], members)
+        return X.transpose(2, 0, 1)[:, pos].transpose(1, 2, 0), y[pos]
+
     def _take(self, members, batches):
         """Stacked (X, y) of ``batches`` (None: all examples) of clients
-        ``members``, gathered from the pool of every client's examples in one
-        take. The full data of consecutive clients of one size is a view of
-        the pool instead."""
-        if self._pool is None:
-            data = [c for c in self.clients if c.data_size is not None]
-            starts = np.cumsum([0] + [c.data_size or 0 for c in self.clients])
-            self._pool = (np.concatenate([c.features for c in data]),
-                          np.concatenate([c.labels for c in data]), starts)
-        pool_X, pool_y, starts = self._pool
-        first, m = members[0], len(members)
-        if all(b is None for b in batches) and tuple(members) == tuple(range(first, first + m)):
-            lo, hi = starts[first], starts[first + m]
-            return pool_X[lo:hi].reshape(m, -1, pool_X.shape[1]), pool_y[lo:hi].reshape(m, -1)
+        ``members``, taken along the pool's example axis in one take; X is
+        (m, n, d) over feature-major memory."""
+        pool_X, pool_y, starts = self._data()
         take = np.concatenate([np.arange(self.clients[i].data_size) if b is None else b
                                for i, b in zip(members, batches)]).reshape(len(members), -1)
         take += starts[list(members)][:, None]
-        return pool_X.take(take, axis=0), pool_y.take(take)
+        return pool_X.take(take, axis=1).transpose(1, 2, 0), pool_y.take(take)
 
     def gathered_grads(self, idx, Y, plan) -> np.ndarray:
         """Gradients of clients ``idx`` at the rows of ``Y`` (m, dim) on one

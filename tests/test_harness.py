@@ -280,7 +280,55 @@ def test_evaluate_is_bitwise_the_reference(model, mode, classes, per_class, clie
 
 
 def reference_loss_acc(client, x, X, y, l2):
-    """``_loss_acc`` with expression-form logits and softmax terms."""
+    """``_loss_acc`` with expression-form class-major logits and softmax
+    terms, each step a fresh array."""
+    XT = kernels._examples_last(X)[0]  # (d, n)
+    if isinstance(client, MLPClient):
+        W1, b1, W2, b2 = client._unpack(x)
+        a = np.tanh(kernels._matmul(W1.T, XT) + b1[:, None])
+        z = kernels._matmul(W2.T, a) + b2[:, None]
+    else:
+        W, b = client._unpack(x)
+        z = kernels._matmul(W.T, XT) + b[:, None]
+    zmax = z.max(axis=0)
+    lse = zmax + np.log(np.exp(z - zmax).sum(axis=0))
+    loss = float((lse - z[y, np.arange(len(y))]).mean()) + 0.5 * l2 * float(x @ x)
+    acc = float((np.argmax(z, axis=0) == y).mean())
+    return loss, acc
+
+
+def loss_acc_case(model, n, d, c, hidden, l2, scale, fortran, seed):
+    """A client, a point and an evaluation set (X row-major or, as
+    ``ProblemInstance`` holds it, feature-major). A scale of 0 puts every
+    logit of an example in a tie, and NaN makes every logit NaN."""
+    rng = np.random.default_rng(seed)
+    client = make_supervised_client(rng.standard_normal((n, d)), rng.integers(0, c, n), c,
+                                    model=model, hidden=hidden, l2_decay=l2)
+    x = scale * rng.standard_normal(client.dim)
+    X = (1.0 if np.isnan(scale) else scale) * rng.standard_normal((n, d))
+    return client, x, np.asfortranarray(X) if fortran else X, rng.integers(0, c, n)
+
+
+LOSS_ACC_CASES = dict(
+    model=st.sampled_from(["logistic", "mlp"]), n=st.integers(1, 40), d=st.integers(1, 20),
+    c=st.integers(2, 12), hidden=st.integers(1, 20), l2=st.sampled_from([0.0, 0.01]),
+    scale=st.sampled_from([0.1, 3.0, 300.0, 0.0, np.nan]), fortran=st.booleans(),
+    seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**LOSS_ACC_CASES)
+def test_loss_acc_is_bitwise_the_reference(model, n, d, c, hidden, l2, scale, fortran, seed):
+    client, x, X, y = loss_acc_case(model, n, d, c, hidden, l2, scale, fortran, seed)
+    before = [a.tobytes() for a in (x, X, y, client.features)]
+    got = harness._loss_acc(client, x, X, y, l2)
+    assert [a.tobytes() for a in (x, X, y, client.features)] == before
+    assert np.array(got).tobytes() == np.array(reference_loss_acc(client, x, X, y, l2)).tobytes()
+
+
+def row_major_loss_acc(client, x, X, y, l2):
+    """``_loss_acc`` as it was before the class-major layout: row-major
+    expression-form logits (n, C), reduced along each example's classes."""
     if isinstance(client, MLPClient):
         W1, b1, W2, b2 = client._unpack(x)
         z = np.tanh(X @ W1 + b1) @ W2 + b2
@@ -296,19 +344,17 @@ def reference_loss_acc(client, x, X, y, l2):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(model=st.sampled_from(["logistic", "mlp"]), n=st.integers(1, 12), d=st.integers(1, 5),
-       c=st.integers(2, 5), hidden=st.integers(1, 6), l2=st.sampled_from([0.0, 0.01]),
-       scale=st.sampled_from([0.1, 3.0, 300.0]), seed=st.integers(0, 2**16))
-def test_loss_acc_is_bitwise_the_reference(model, n, d, c, hidden, l2, scale, seed):
-    rng = np.random.default_rng(seed)
-    client = make_supervised_client(rng.standard_normal((n, d)), rng.integers(0, c, n), c,
-                                    model=model, hidden=hidden, l2_decay=l2)
-    x = scale * rng.standard_normal(client.dim)
-    X, y = scale * rng.standard_normal((n, d)), rng.integers(0, c, n)
-    before = [a.tobytes() for a in (x, X, y, client.features)]
-    got = harness._loss_acc(client, x, X, y, l2)
-    assert [a.tobytes() for a in (x, X, y, client.features)] == before
-    assert np.array(got).tobytes() == np.array(reference_loss_acc(client, x, X, y, l2)).tobytes()
+@given(**LOSS_ACC_CASES)
+def test_loss_acc_agrees_with_the_row_major_oracle(model, n, d, c, hidden, l2, scale, fortran,
+                                                   seed):
+    """The class-major ``_loss_acc`` gives the row-major form's accuracy
+    exactly and its loss within 1e-12 relative."""
+    client, x, X, y = loss_acc_case(model, n, d, c, hidden, l2, scale, fortran, seed)
+    loss, acc = harness._loss_acc(client, x, X, y, l2)
+    want_loss, want_acc = row_major_loss_acc(client, x, np.ascontiguousarray(X), y, l2)
+    assert acc == want_acc
+    assert (np.isnan(loss) and np.isnan(want_loss)
+            or abs(loss - want_loss) <= 1e-12 * abs(want_loss))
 
 
 def test_divergence_preserves_partial_metrics(tmp_path):

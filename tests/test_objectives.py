@@ -14,6 +14,8 @@ from gradalign.objectives import (
     make_supervised_client,
 )
 from gradalign.params import SeededStream, mean_reduce
+from gradalign.regularizer import estimate_smoothness_constants, regularizer_report
+from gradalign.verify import fixture_logistic_problem
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -207,16 +209,26 @@ def test_federated_problem_dim_mismatch():
                           QuadraticClient(np.eye(2), [0.0, 0.0])])
 
 
+# (classes, input width) of the generated clients: a small shape, and one as
+# wide as the benchmark problems, where the class-major layout matters
+SHAPES = st.sampled_from([(3, 3), (10, 16)])
+
+
+def make_clients(model, sizes, shape, l2, rng):
+    c, d = shape
+    return [make_supervised_client(rng.standard_normal((n, d)), rng.integers(0, c, n), c,
+                                   model=model, hidden=4, l2_decay=l2, client_id=i)
+            for i, n in enumerate(sizes)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(model=st.sampled_from(["logistic", "mlp"]), sizes=st.lists(st.integers(1, 12), min_size=1,
        max_size=5), batch=st.integers(1, 6), full=st.lists(st.booleans(), min_size=5, max_size=5),
-       l2=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
-def test_stacked_grads_rows_are_bitwise_stoch_grad(model, sizes, batch, full, l2, seed):
+       l2=st.sampled_from([0.0, 0.1]), shape=SHAPES, seed=st.integers(0, 2**16))
+def test_stacked_grads_rows_are_bitwise_stoch_grad(model, sizes, batch, full, l2, shape, seed):
     # uneven clients, ragged tail batches and full-data rows mixed in one call
     rng = np.random.default_rng(seed)
-    clients = [make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
-                                      model=model, hidden=4, l2_decay=l2, client_id=i)
-               for i, n in enumerate(sizes)]
+    clients = make_clients(model, sizes, shape, l2, rng)
     problem = FederatedProblem(clients)
     idx = [i for i in range(len(sizes)) for _ in range(2)]
     batches = [None if full[i] else rng.permutation(sizes[i])[:batch] for i in idx]
@@ -244,14 +256,14 @@ def test_stacked_grads_names_the_lowest_non_finite_client(quad3, logistic_proble
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(model=st.sampled_from(["logistic", "mlp"]), sizes=st.lists(st.integers(1, 12), min_size=1,
        max_size=4), batch=st.integers(1, 6), K=st.integers(1, 4),
-       full_steps=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**16))
-def test_round_gather_rows_are_bitwise_stoch_grad(model, sizes, batch, K, full_steps, seed):
+       full_steps=st.lists(st.booleans(), min_size=4, max_size=4), shape=SHAPES,
+       seed=st.integers(0, 2**16))
+def test_round_gather_rows_are_bitwise_stoch_grad(model, sizes, batch, K, full_steps, shape,
+                                                  seed):
     """A K-step gather, then one compute call per step, gives every row's
     stoch_grad; the steps on full data share one gathered stack."""
     rng = np.random.default_rng(seed)
-    clients = [make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
-                                      model=model, hidden=4, l2_decay=0.1, client_id=i)
-               for i, n in enumerate(sizes)]
+    clients = make_clients(model, sizes, shape, 0.1, rng)
     problem = FederatedProblem(clients)
     idx = list(range(len(sizes)))
     steps = [[None if full_steps[k] else rng.permutation(sizes[i])[:batch] for i in idx]
@@ -282,26 +294,23 @@ class SignKeepingClient(ClientObjective):
         return self._checked(x.copy())
 
 
-def held_grads_problem(kind, sizes, l2, rng):
+def held_grads_problem(kind, sizes, l2, shape, rng):
     if kind == "quadratic":
         quads = make_quadratic_problem(len(sizes), 4, 0.5, SeededStream(int(rng.integers(99))))
         return FederatedProblem(quads + [SignKeepingClient(4, client_id=len(quads))])
-    return FederatedProblem([
-        make_supervised_client(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3,
-                               model=kind, hidden=4, l2_decay=l2, client_id=i)
-        for i, n in enumerate(sizes)])
+    return FederatedProblem(make_clients(kind, sizes, shape, l2, rng))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["logistic", "mlp", "quadratic"]),
        sizes=st.lists(st.sampled_from([3, 5, 8]), min_size=1, max_size=5),
-       l2=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16), data=st.data())
-def test_full_grads_rows_are_bitwise_stoch_grad(kind, sizes, l2, seed, data):
+       l2=st.sampled_from([0.0, 0.1]), shape=SHAPES, seed=st.integers(0, 2**16), data=st.data())
+def test_full_grads_rows_are_bitwise_stoch_grad(kind, sizes, l2, shape, seed, data):
     """Over a sequence of points with repeats, and points that differ only in
     the sign of a zero, every row of ``full_grads`` and ``client_grads`` is
     the client's own full-data gradient at that point."""
     rng = np.random.default_rng(seed)
-    problem = held_grads_problem(kind, sizes, l2, rng)
+    problem = held_grads_problem(kind, sizes, l2, shape, rng)
     clients, n = problem.clients, problem.n
     base = rng.standard_normal(problem.dim)
     base[rng.random(problem.dim) < 0.5] = 0.0
@@ -320,6 +329,46 @@ def test_full_grads_rows_are_bitwise_stoch_grad(kind, sizes, l2, seed, data):
             assert G.shape == (len(idx), problem.dim) and G.flags.writeable
         for j, i in enumerate(idx):
             assert G[j].tobytes() == clients[i].stoch_grad(x, None).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["logistic", "mlp"]),
+       sizes=st.lists(st.sampled_from([1, 4, 9]), min_size=1, max_size=5),
+       l2=st.sampled_from([0.0, 0.1]), with_quadratic=st.booleans(), shape=SHAPES,
+       scale=st.sampled_from([0.1, 3.0, 300.0]), seed=st.integers(0, 2**16))
+def test_value_is_bitwise_the_client_loop(model, sizes, l2, with_quadratic, shape, scale, seed):
+    """``FederatedProblem.value`` (one stacked kernel call per group) is
+    bitwise the mean of the clients' own values, summed in client order."""
+    rng = np.random.default_rng(seed)
+    clients = make_clients(model, sizes, shape, l2, rng)
+    if with_quadratic:
+        M = rng.standard_normal((clients[0].dim,) * 2)
+        clients.insert(len(clients) // 2,
+                       QuadraticClient(M + M.T, rng.standard_normal(clients[0].dim)))
+    problem = FederatedProblem(clients)
+    for x in (scale * rng.standard_normal(problem.dim), np.zeros(problem.dim)):
+        total = 0.0
+        for c in clients:
+            total += c.value(x)
+        got = problem.value(x)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(total / len(clients)).tobytes()
+
+
+def test_hvps_keep_no_repeated_client_stacks():
+    """Only the all-clients stack of each full-data group is kept for the
+    problem's lifetime: the repeated-client row layouts of a regularizer
+    report (2n rows) and of smoothness probes (2n x directions) are taken
+    afresh and not kept."""
+    problem = fixture_logistic_problem(n_clients=10, n_classes=10, per_class=8)
+    assert len({c.data_size for c in problem.clients}) == 1
+    x = 0.1 * np.arange(problem.dim) / problem.dim
+    regularizer_report(problem, x)
+    estimate_smoothness_constants(problem, x, 0.5, 3, SeededStream(4))
+    assert len(problem._all_stacks) == 1
+    assert all(len(set(members)) == len(members) for members in problem._full_stacks)
+    problem.full_grads([3, 1], -x)  # a subset's stack is kept until the next one
+    assert list(problem._full_stacks) == [(1, 3)]
 
 
 def test_writing_into_returned_gradients_changes_no_later_result(logistic_problem, quad3):
