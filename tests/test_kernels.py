@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradalign import kernels
@@ -62,6 +62,11 @@ def laid_out(values, layout, rng):
 @given(model=st.sampled_from(["logistic", "mlp"]), m=st.integers(1, 4), n=st.integers(1, 40),
        d=st.integers(1, 20), c=st.integers(2, 12), h=st.integers(1, 20),
        layout=st.sampled_from(["row", "take", "pool"]), seed=st.integers(0, 2**16))
+# one example per entry (numpy sums a single column's classes pairwise), and
+# an input width and a hidden width of 1 (products whose result is a vector)
+@example(model="logistic", m=3, n=1, d=4, c=12, h=1, layout="take", seed=0)
+@example(model="mlp", m=3, n=1, d=4, c=11, h=5, layout="pool", seed=0)
+@example(model="mlp", m=2, n=7, d=1, c=9, h=1, layout="take", seed=3)
 def test_stacked_call_is_bitwise_the_2d_call_per_slice(model, m, n, d, c, h, layout, seed):
     rng = np.random.default_rng(seed)
     X = laid_out(3.0 * rng.standard_normal((m, n, d)), layout, rng)

@@ -333,7 +333,7 @@ def test_full_grads_rows_are_bitwise_stoch_grad(kind, sizes, l2, shape, seed, da
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(model=st.sampled_from(["logistic", "mlp"]),
-       sizes=st.lists(st.sampled_from([1, 4, 9]), min_size=1, max_size=5),
+       sizes=st.lists(st.sampled_from([1, 4, 9]), min_size=1, max_size=12),
        l2=st.sampled_from([0.0, 0.1]), with_quadratic=st.booleans(), shape=SHAPES,
        scale=st.sampled_from([0.1, 3.0, 300.0]), seed=st.integers(0, 2**16))
 def test_value_is_bitwise_the_client_loop(model, sizes, l2, with_quadratic, shape, scale, seed):
