@@ -96,9 +96,8 @@ def _affine(W, b, A):
 
 
 def _class_sum(P):
-    """Column sums of row-major ``P`` (C, M), adding the class rows in order.
-    numpy does exactly that for M > 1 but sums a single column pairwise (as
-    it would any column whose classes are contiguous)."""
+    """Column sums of row-major ``P`` (C, M), adding the class rows in order:
+    numpy does that for M > 1, but sums a single column pairwise."""
     if P.shape[1] == 1:
         return np.add.accumulate(P, axis=0)[-1]
     return np.add.reduce(P, axis=0)
